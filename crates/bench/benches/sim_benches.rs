@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the measurement substrate: trace generation,
-//! coalescing, cache access, and end-to-end layer simulation throughput.
+//! coalescing, cache access, L2 aging, and end-to-end layer simulation
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use delta_model::tiling::CtaTile;
@@ -8,7 +9,7 @@ use delta_sim::cache::SectoredCache;
 use delta_sim::coalesce::{self, Transaction};
 use delta_sim::tensor::TensorMap;
 use delta_sim::trace::CtaTrace;
-use delta_sim::{SimConfig, Simulator};
+use delta_sim::{MemoryHierarchy, SimConfig, Simulator};
 use std::hint::black_box;
 
 fn small_layer() -> ConvLayer {
@@ -44,15 +45,23 @@ fn bench_trace_generation(c: &mut Criterion) {
 }
 
 fn bench_coalescer(c: &mut Criterion) {
-    // A strided warp (the L1-hostile im2col pattern).
-    let addrs: Vec<Option<u64>> = (0..32u64).map(|i| Some(i * 8)).collect();
-    let mut out: Vec<Transaction> = Vec::with_capacity(8);
-    c.bench_function("sim/coalesce_strided_warp", |b| {
-        b.iter(|| {
-            coalesce::coalesce_warp(black_box(&addrs), &mut out);
-            out.len()
-        })
-    });
+    // A strided warp (the L1-hostile im2col pattern) and a scattered one
+    // whose 32 lanes each touch a distinct line (the filter gather: one
+    // 3x3x64 fp32 filter row, 2304 B, per lane).
+    let strided: Vec<Option<u64>> = (0..32u64).map(|i| Some(i * 8)).collect();
+    let scattered: Vec<Option<u64>> = (0..32u64).map(|i| Some(i * 2304)).collect();
+    let mut out: Vec<Transaction> = Vec::with_capacity(32);
+    for (name, addrs) in [
+        ("sim/coalesce_strided_warp", &strided),
+        ("sim/coalesce_scattered_warp", &scattered),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                coalesce::coalesce_warp(black_box(addrs), &mut out);
+                out.len()
+            })
+        });
+    }
 }
 
 fn bench_cache(c: &mut Criterion) {
@@ -64,6 +73,19 @@ fn bench_cache(c: &mut Criterion) {
             cache.access(black_box(line), 0b1111)
         })
     });
+}
+
+fn bench_l2_aging(c: &mut Criterion) {
+    // Aging by 10x the L2's capacity, as loop/batch extrapolation asks
+    // for on large layers.
+    let gpu = GpuSpec::titan_xp();
+    let mut hier = MemoryHierarchy::new(&gpu);
+    let mut group = c.benchmark_group("sim/age_l2");
+    group.throughput(Throughput::Bytes(10 * gpu.l2_bytes()));
+    group.bench_function("ten_l2_capacities", |b| {
+        b.iter(|| hier.age_l2(black_box(10 * gpu.l2_bytes())))
+    });
+    group.finish();
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -81,6 +103,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_trace_generation, bench_coalescer, bench_cache, bench_end_to_end
+    targets = bench_trace_generation, bench_coalescer, bench_cache, bench_l2_aging,
+        bench_end_to_end
 );
 criterion_main!(benches);

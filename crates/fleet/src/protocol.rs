@@ -377,6 +377,16 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_frame_is_refused_not_a_stack_overflow() {
+        // Without the parser's depth limit, 400 KB of `[` would overflow
+        // the executor's stack and abort the whole process.
+        let deep = "[".repeat(400 * 1024);
+        let err = read_frame::<JobMsg>(&mut frame_raw(&deep).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting"), "{err}");
+    }
+
+    #[test]
     fn frames_from_pre_observability_peers_decode_with_defaults() {
         // The observability fields (`corr`/`trace`, `spans`, `version`)
         // are additive within protocol revision 1: frames hand-built

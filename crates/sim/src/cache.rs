@@ -51,6 +51,16 @@ impl CacheStats {
 }
 
 /// A sectored, set-associative, LRU cache.
+///
+/// Each access stamps its way with a fresh tick of the cache's LRU clock,
+/// and the victim of a miss is the way with the smallest stamp. Once
+/// every way of a set has been stamped, the stamps in it are distinct,
+/// so lookup and victim choice depend only on each way's (tag, sectors,
+/// stamp), never on the way's position within its set. Aging relies on
+/// this: a stream of distinct [`SectoredCache::pollute`] lines longer
+/// than [`SectoredCache::capacity_lines`] is replayed from its last
+/// `capacity_lines()` lines alone, after advancing the clock past the
+/// rest (see [`crate::hierarchy::MemoryHierarchy::age_l2`]).
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
     sets: usize,
@@ -98,6 +108,11 @@ impl SectoredCache {
     /// Associativity.
     pub fn ways(&self) -> usize {
         self.ways
+    }
+
+    /// Lines the cache holds (`sets × ways`).
+    pub fn capacity_lines(&self) -> usize {
+        self.sets * self.ways
     }
 
     /// Statistics so far.
@@ -177,6 +192,33 @@ impl SectoredCache {
         self.tags[victim] = line;
         self.sector_valid[victim] = sector_mask;
         self.stamp[victim] = self.tick;
+    }
+
+    /// Advances the LRU clock by `ticks` without touching any way: the
+    /// stamps the next accesses receive are those they would get after
+    /// `ticks` skipped accesses. Only exact when the skipped accesses'
+    /// effect on residency is fully overwritten afterwards, as when
+    /// [`crate::hierarchy::MemoryHierarchy::age_l2`] skips all but the
+    /// last `capacity_lines()` lines of a distinct-line stream.
+    pub(crate) fn advance_clock(&mut self, ticks: u64) {
+        self.tick += ticks;
+    }
+
+    /// Each set's ways as sorted `(tag, valid sectors, stamp)` triples:
+    /// the residency state with the way order inside a set, which no
+    /// lookup can observe, factored out.
+    #[cfg(test)]
+    pub(crate) fn residency(&self) -> Vec<Vec<(u64, u8, u64)>> {
+        (0..self.sets)
+            .map(|set| {
+                let ways = set * self.ways..(set + 1) * self.ways;
+                let mut v: Vec<_> = ways
+                    .map(|i| (self.tags[i], self.sector_valid[i], self.stamp[i]))
+                    .collect();
+                v.sort_unstable();
+                v
+            })
+            .collect()
     }
 
     /// Whether `line` is resident with all of `sector_mask` valid

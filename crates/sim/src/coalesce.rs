@@ -25,26 +25,61 @@ impl Transaction {
     }
 }
 
+/// Slots in [`coalesce_warp`]'s line → output-index table. A power of
+/// two above the 32 lanes of a warp, so a warp's distinct lines rarely
+/// share a slot.
+const LINE_SLOTS: usize = 64;
+
+/// Marks an unused slot.
+const EMPTY_SLOT: u8 = u8::MAX;
+
 /// Coalesces one warp's (optional) byte addresses into line transactions.
 ///
 /// `None` entries are predicated-off lanes (padding); they produce no
 /// traffic. The output is ordered by first touch and deduplicated per
 /// line; `out` is cleared first and reused to avoid allocation in the hot
 /// loop.
+///
+/// This runs once per traced warp, so each lane must find its line in
+/// constant time: a linear search over `out` costs up to 32 compares per
+/// lane on scattered (filter-gather) warps. Consecutive lanes usually
+/// share a line, so `out.last()` is tried first. Otherwise a 64-slot
+/// direct-mapped table on the stack maps `line % 64` to the index of
+/// the first line seen in that slot. An empty slot proves the line is
+/// new. Only when the slot holds a different line (two lines collide
+/// modulo 64) does the lane fall back to scanning `out`, so the output
+/// order and sector masks are exactly those of a plain first-touch scan.
 pub fn coalesce_warp(addrs: &[Option<u64>], out: &mut Vec<Transaction>) {
     out.clear();
+    let mut slots = [EMPTY_SLOT; LINE_SLOTS];
     for addr in addrs.iter().flatten() {
         let line = addr / LINE_BYTES;
-        let sector = ((addr % LINE_BYTES) / SECTOR_BYTES) as u8;
-        let bit = 1u8 << sector;
-        // Warp footprints span few distinct lines; linear scan beats
-        // hashing at this size.
-        match out.iter_mut().find(|t| t.line == line) {
-            Some(t) => t.sector_mask |= bit,
-            None => out.push(Transaction {
-                line,
-                sector_mask: bit,
-            }),
+        let bit = 1u8 << ((addr % LINE_BYTES) / SECTOR_BYTES);
+        if let Some(t) = out.last_mut().filter(|t| t.line == line) {
+            t.sector_mask |= bit;
+            continue;
+        }
+        let slot = &mut slots[(line % LINE_SLOTS as u64) as usize];
+        let found = if *slot == EMPTY_SLOT {
+            None
+        } else if out[usize::from(*slot)].line == line {
+            Some(usize::from(*slot))
+        } else {
+            out.iter().position(|t| t.line == line)
+        };
+        match found {
+            Some(i) => out[i].sector_mask |= bit,
+            None => {
+                if *slot == EMPTY_SLOT {
+                    // Past 255 lines (never within one warp) the index
+                    // saturates; a mismatching slot only costs a scan.
+                    *slot = out.len().min(usize::from(EMPTY_SLOT) - 1) as u8;
+                }
+                out.push(Transaction {
+                    line,
+                    sector_mask: bit,
+                });
+            }
         }
     }
 }
@@ -70,6 +105,86 @@ pub fn request_bytes(transactions: &[Transaction], l1_request_bytes: u32) -> u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// The linear-scan coalescer [`coalesce_warp`] replaced, kept as the
+    /// reference its output must equal.
+    fn coalesce_warp_by_scan(addrs: &[Option<u64>], out: &mut Vec<Transaction>) {
+        out.clear();
+        for addr in addrs.iter().flatten() {
+            let line = addr / LINE_BYTES;
+            let bit = 1u8 << ((addr % LINE_BYTES) / SECTOR_BYTES);
+            match out.iter_mut().find(|t| t.line == line) {
+                Some(t) => t.sector_mask |= bit,
+                None => out.push(Transaction {
+                    line,
+                    sector_mask: bit,
+                }),
+            }
+        }
+    }
+
+    /// One 32-lane warp of the given `shape`, drawn from `seed`, with
+    /// lanes predicated off at `off_pct` percent.
+    fn arb_warp(shape: u8, seed: u64, off_pct: u64) -> Vec<Option<u64>> {
+        let mut rng = TestRng::new(seed);
+        let base = rng.below(1 << 30);
+        let stride = [2u64, 4, 8, 12, 32, 128, 136, 4096][rng.below(8) as usize];
+        let lines: Vec<u64> = (0..1 + rng.below(6)).map(|_| rng.below(1 << 20)).collect();
+        (0..32u64)
+            .map(|lane| {
+                let addr = match shape {
+                    // Contiguous or strided im2col/filter rows.
+                    0 => base + lane * 4,
+                    1 => base + lane * stride,
+                    // 32 distinct lines: the filter-gather pattern.
+                    2 => (base / LINE_BYTES + lane * 7919) * LINE_BYTES + rng.below(LINE_BYTES),
+                    // Few lines that all collide modulo 64.
+                    3 => {
+                        let k = rng.below(6);
+                        (base / LINE_BYTES + k * LINE_SLOTS as u64) * LINE_BYTES
+                            + rng.below(LINE_BYTES)
+                    }
+                    // Random lanes over a small pool of lines.
+                    _ => {
+                        lines[rng.below(lines.len() as u64) as usize] * LINE_BYTES
+                            + rng.below(LINE_BYTES)
+                    }
+                };
+                (rng.below(100) >= off_pct).then_some(addr)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn table_coalescer_equals_the_linear_scan(
+            (shape, seed, off_pct) in (0u8..5, 0u64..u64::MAX, prop_oneof![Just(0u64), 0u64..=100])
+        ) {
+            let warp = arb_warp(shape, seed, off_pct);
+            let (mut fast, mut scan) = (Vec::new(), Vec::new());
+            coalesce_warp(&warp, &mut fast);
+            coalesce_warp_by_scan(&warp, &mut scan);
+            prop_assert_eq!(fast, scan);
+        }
+    }
+
+    #[test]
+    fn more_lines_than_table_indices_still_dedup() {
+        // 300 distinct lines, then the same lines in reverse order:
+        // indices past 254 saturate in the table, yet the output must
+        // still match the scan.
+        let mut addrs: Vec<Option<u64>> = (0..300u64).map(|l| Some(l * 4096)).collect();
+        addrs.extend((0..300u64).rev().map(|l| Some(l * 4096 + 96)));
+        let (mut fast, mut scan) = (Vec::new(), Vec::new());
+        coalesce_warp(&addrs, &mut fast);
+        coalesce_warp_by_scan(&addrs, &mut scan);
+        assert_eq!(fast.len(), 300);
+        assert_eq!(fast, scan);
+    }
 
     fn seq(addrs: &[u64]) -> Vec<Transaction> {
         let opt: Vec<Option<u64>> = addrs.iter().copied().map(Some).collect();

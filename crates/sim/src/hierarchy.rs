@@ -183,10 +183,32 @@ impl MemoryHierarchy {
     /// the eviction pressure of CTA batches / main loops the sampling
     /// simulator extrapolated instead of tracing. Does not touch
     /// statistics; only ages residency.
+    ///
+    /// The run is `bytes / 128` distinct pollution lines (the aging
+    /// cursor only grows, and its lines sit far above any real tensor
+    /// address), so every one of them misses. Consecutive lines map to
+    /// consecutive sets, so any `sets × ways` consecutive lines put
+    /// exactly `ways` lines into each set, and each of those misses
+    /// evicts the set's least recently stamped way, which is never one
+    /// of the run's newer lines. Once a run reaches the L2's
+    /// `sets × ways` lines, each set therefore holds exactly its last
+    /// `ways` pollution lines, all sectors valid, with distinct stamps:
+    /// a state that does not depend on anything before the run.
+    ///
+    /// So a longer run only advances the aging cursor and the L2's LRU
+    /// clock past its first `lines − sets × ways` lines and pollutes the
+    /// final `sets × ways`. Tags, valid masks and stamps come out
+    /// identical to polluting every line. Only the order of ways inside a
+    /// set may differ, and neither lookup nor victim choice can observe
+    /// it (see [`SectoredCache`]). This bounds the cost of one call by
+    /// the L2's capacity instead of the extrapolated volume.
     pub fn age_l2(&mut self, bytes: u64) {
         self.count_aged_l2(bytes);
         let lines = bytes / delta_model::LINE_BYTES;
-        for _ in 0..lines {
+        let skipped = lines.saturating_sub(self.l2.capacity_lines() as u64);
+        self.aging_cursor += skipped;
+        self.l2.advance_clock(skipped);
+        for _ in skipped..lines {
             self.aging_cursor += 1;
             // Distinct lines far above any real tensor address.
             self.l2.pollute((1 << 40) + self.aging_cursor, 0b1111);
@@ -354,6 +376,67 @@ mod tests {
         assert_eq!(merged.aged_l2_bytes, 8192);
         // Each store streams one line's two referenced sectors (2×32 B).
         assert_eq!(merged.dram_write_bytes, 2 * 64);
+    }
+
+    /// The aging [`MemoryHierarchy::age_l2`] bounds: one pollution per
+    /// line, however long the run.
+    fn age_l2_line_by_line(h: &mut MemoryHierarchy, bytes: u64) {
+        h.count_aged_l2(bytes);
+        for _ in 0..bytes / delta_model::LINE_BYTES {
+            h.aging_cursor += 1;
+            h.l2.pollute((1 << 40) + h.aging_cursor, 0b1111);
+        }
+    }
+
+    fn load_line(h: &mut MemoryHierarchy, sm: usize, line: u64, sector_mask: u8) {
+        h.warp_load(sm, &[Transaction { line, sector_mask }]);
+    }
+
+    /// Every direct L2 access's miss mask, the snapshot and the L2
+    /// residency after an [`aged_run`].
+    type AgedRun = (Vec<u8>, HierarchyStats, Vec<Vec<(u64, u8, u64)>>);
+
+    /// Real traffic, aging of `lines`, more traffic that revisits the
+    /// first and evicts aged lines, a second (over-capacity) aging, and a
+    /// last revisit.
+    fn aged_run(gpu: &GpuSpec, lines: u64, age: fn(&mut MemoryHierarchy, u64)) -> AgedRun {
+        let mut h = MemoryHierarchy::new(gpu);
+        let cap = h.l2.capacity_lines() as u64;
+        let real: Vec<u64> = (0..2048u64).map(|i| i * 37 % (4 * cap)).collect();
+        let mask = |i: u64| 1u8 << (i % 4) | 0b0001;
+        for (i, &line) in real.iter().enumerate() {
+            let i = i as u64;
+            load_line(&mut h, (i % 4) as usize, line, mask(i));
+        }
+        age(&mut h, lines * delta_model::LINE_BYTES);
+        let mut misses = Vec::new();
+        let revisit = |h: &mut MemoryHierarchy, misses: &mut Vec<u8>| {
+            for (i, &line) in real.iter().enumerate() {
+                let i = i as u64;
+                misses.push(h.l2.access(line, 0b1111));
+                misses.push(h.l2.access(4 * cap + i * 101, mask(i)));
+                load_line(h, 7, line + 1, mask(i + 1));
+            }
+        };
+        revisit(&mut h, &mut misses);
+        age(&mut h, (cap + 5) * delta_model::LINE_BYTES);
+        revisit(&mut h, &mut misses);
+        (misses, h.snapshot(), h.l2.residency())
+    }
+
+    #[test]
+    fn capped_aging_equals_line_by_line_pollution() {
+        for gpu in [GpuSpec::titan_xp(), GpuSpec::v100(), GpuSpec::a100()] {
+            let cap = MemoryHierarchy::new(&gpu).l2.capacity_lines() as u64;
+            for lines in [cap - 1, cap, cap + 1, 7 * cap + 3] {
+                let capped = aged_run(&gpu, lines, MemoryHierarchy::age_l2);
+                let reference = aged_run(&gpu, lines, age_l2_line_by_line);
+                let what = format!("{} L2, {lines} aged lines (capacity {cap})", gpu.name());
+                assert_eq!(capped.0, reference.0, "per-access miss masks, {what}");
+                assert_eq!(capped.1, reference.1, "snapshot, {what}");
+                assert!(capped.2 == reference.2, "L2 residency, {what}");
+            }
+        }
     }
 
     #[test]

@@ -365,6 +365,29 @@ fn malformed_input_gets_structured_400s_over_the_socket() {
 }
 
 #[test]
+fn a_deeply_nested_body_is_a_400_not_a_crash() {
+    // ~400 KB of brackets: without the parser's depth limit, one level
+    // of recursion per `[` would overflow the worker's stack and abort
+    // the whole daemon.
+    let server = model_server();
+    let addr = server.addr();
+    let body = format!("{}{}", "[".repeat(200 * 1024), "]".repeat(200 * 1024));
+    let (status, response) = post(addr, "/eval", &body);
+    assert_eq!(status, 400, "{response}");
+    let v: Value = serde_json::from_str(&response).expect("error body is JSON");
+    let err = v.get("error").expect("error envelope");
+    assert_eq!(err.get("code"), Some(&Value::Str("invalid_json".into())));
+    assert!(
+        matches!(err.get("message"), Some(Value::Str(m)) if m.contains("nesting")),
+        "{response}"
+    );
+    // The daemon is still up and answering.
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+#[test]
 fn routing_errors_are_structured_too() {
     let server = model_server();
     let addr = server.addr();
