@@ -48,10 +48,11 @@ use crate::query::{EvalQuery, Parallelism, Pass, StepEvaluation, StepQuery};
 use crate::scaling::DesignOption;
 use delta_obs::{span, Counter};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -94,24 +95,41 @@ struct StepCacheFileEntry {
     evaluation: StepEvaluation,
 }
 
-fn no_step_entries() -> Vec<StepCacheFileEntry> {
-    Vec::new()
-}
-
-/// The on-disk cache format (v3): versioned, query-keyed per-layer
-/// entries plus step-keyed whole-step entries, plus the
-/// backend/GPU/sampling fingerprint that guards the knobs a query does
-/// not carry. The `step_entries` default is what makes v2 files load
-/// read-compatibly — they simply have none.
-#[derive(Debug, Serialize, Deserialize)]
+/// The on-disk cache format (v3) as one value tree: versioned,
+/// query-keyed per-layer entries plus step-keyed whole-step entries,
+/// plus the backend/GPU/sampling fingerprint that guards the knobs a
+/// query does not carry. [`Engine::save_cache`] and
+/// [`Engine::load_cache`] stream the file one entry at a time instead;
+/// this tree, rendered by `to_string_pretty`, is the reference their
+/// bytes are tested against.
+#[cfg(test)]
+#[derive(Debug, Serialize)]
 struct CacheFile {
     version: u32,
     backend: String,
     gpu: String,
     config: String,
     entries: Vec<CacheFileEntry>,
-    #[serde(default = "no_step_entries")]
     step_entries: Vec<StepCacheFileEntry>,
+}
+
+/// Reads the entry array `doc` has open one element at a time,
+/// converting each to its typed entry and dropping its tree. After the
+/// first element that does not convert, the rest are only parsed, and
+/// that conversion error is the result.
+fn read_entries<T: Deserialize>(
+    doc: &mut serde_json::ObjectReader<'_>,
+) -> Result<Result<Vec<T>, DeError>, serde_json::Error> {
+    let mut entries = Ok(Vec::new());
+    while let Some(item) = doc.next_item()? {
+        if let Ok(list) = &mut entries {
+            match T::from_value(&item) {
+                Ok(entry) => list.push(entry),
+                Err(e) => entries = Err(e),
+            }
+        }
+    }
+    Ok(entries)
 }
 
 /// Engine tuning knobs; the defaults (parallel, cached) are what every
@@ -259,13 +277,36 @@ impl<B: Backend> Engine<B> {
     /// query does not carry (sampling limits). Entries of both kinds
     /// are written in a deterministic order (sorted by fingerprint) and
     /// the write is atomic (temp file + rename), so a concurrent reader
-    /// never sees a truncated file. Returns the total number of entries
-    /// written (per-layer plus step).
+    /// never sees a truncated file. The caches' locks are held only
+    /// while their entries are copied out; the file is then written
+    /// through a buffered writer one entry at a time, never built whole
+    /// in memory. Returns the total number of entries written (per-layer
+    /// plus step).
     ///
     /// # Errors
     ///
     /// Propagates filesystem and serialization failures.
     pub fn save_cache(&self, path: &Path) -> io::Result<usize> {
+        let (entries, step_entries) = self.cache_snapshot();
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
+        }
+        // Write-then-rename so concurrent loaders (several CLI processes
+        // sharing one --cache-file) never observe a half-written file;
+        // the PID suffix keeps concurrent writers off each other's temp
+        // files.
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        self.write_cache_file(&tmp, &entries, &step_entries)
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(&tmp);
+            })?;
+        Ok(entries.len() + step_entries.len())
+    }
+
+    /// Copies both caches' entries out under their locks, so that
+    /// writing the file holds neither; each kind is sorted by its key.
+    fn cache_snapshot(&self) -> (Vec<CacheFileEntry>, Vec<StepCacheFileEntry>) {
         let mut entries: Vec<(String, CacheFileEntry)> = {
             let cache = self.cache.lock().expect("engine cache poisoned");
             cache
@@ -293,36 +334,39 @@ impl<B: Backend> Engine<B> {
                 .collect()
         };
         step_entries.sort_by(|a, b| a.key.cmp(&b.key));
-        let n = entries.len() + step_entries.len();
-        let file = CacheFile {
-            version: CACHE_FORMAT_VERSION,
-            backend: self.backend.name().to_string(),
-            gpu: self.backend.gpu().name().to_string(),
-            config: self.backend.config_fingerprint(),
-            entries: entries.into_iter().map(|(_, e)| e).collect(),
-            step_entries,
-        };
-        let json = serde_json::to_string_pretty(&file)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)?;
-        }
-        // Write-then-rename so concurrent loaders (several CLI processes
-        // sharing one --cache-file) never observe a half-written file;
-        // the PID suffix keeps concurrent writers off each other's temp
-        // files.
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })?;
-        Ok(n)
+        (entries.into_iter().map(|(_, e)| e).collect(), step_entries)
+    }
+
+    /// Writes the cache file to `path` one entry at a time, in exactly
+    /// the bytes `to_string_pretty` gives for the whole [`CacheFile`]
+    /// tree, without building that tree or the file's text.
+    fn write_cache_file(
+        &self,
+        path: &Path,
+        entries: &[CacheFileEntry],
+        step_entries: &[StepCacheFileEntry],
+    ) -> io::Result<()> {
+        let mut doc = serde_json::PrettyObjectWriter::new(BufWriter::new(File::create(path)?));
+        doc.field("version", &CACHE_FORMAT_VERSION)?;
+        doc.field("backend", self.backend.name())?;
+        doc.field("gpu", self.backend.gpu().name())?;
+        doc.field("config", &self.backend.config_fingerprint())?;
+        doc.array_field("entries", entries)?;
+        doc.array_field("step_entries", step_entries)?;
+        doc.finish()?.flush()
     }
 
     /// Loads a cache file previously written by [`Engine::save_cache`]
     /// into this engine's caches (merging over anything already
     /// present). Returns the total number of entries loaded (per-layer
     /// plus step).
+    ///
+    /// The file is read one entry at a time: each entry becomes its
+    /// typed form and its value tree is dropped, so the whole document
+    /// never exists as one tree. Loading is all-or-nothing: nothing is
+    /// inserted until the whole file has parsed, every guard below has
+    /// passed and every entry has converted, so a truncated or corrupt
+    /// file leaves the caches as they were.
     ///
     /// Loaded results are served as cache hits; the backend is never
     /// consulted for them. Three guards apply, in order:
@@ -349,10 +393,44 @@ impl<B: Backend> Engine<B> {
     /// version mismatch, or a backend/GPU/configuration mismatch.
     pub fn load_cache(&self, path: &Path) -> io::Result<usize> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let malformed =
+            |e: &dyn fmt::Display| invalid(format!("malformed cache file {}: {e}", path.display()));
         let text = std::fs::read_to_string(path)?;
-        let probe: Value = serde_json::from_str(&text)
-            .map_err(|e| invalid(format!("malformed cache file {}: {e}", path.display())))?;
-        match probe.get("version") {
+        // Every top-level field except a streamed entry array; as in a
+        // tree lookup, the first field of a name wins.
+        let mut fields: Vec<(String, Value)> = Vec::new();
+        let mut entries: Option<Result<Vec<CacheFileEntry>, DeError>> = None;
+        let mut step_entries: Option<Result<Vec<StepCacheFileEntry>, DeError>> = None;
+        let parsed = (|| -> Result<(), serde_json::Error> {
+            let mut doc = serde_json::ObjectReader::new(&text)?;
+            while let Some(key) = doc.next_key()? {
+                let first = !fields.iter().any(|(k, _)| *k == key);
+                let stream = first
+                    && match key.as_str() {
+                        "entries" => entries.is_none(),
+                        "step_entries" => step_entries.is_none(),
+                        _ => false,
+                    };
+                if stream && doc.begin_items()? {
+                    if key == "entries" {
+                        entries = Some(read_entries(&mut doc)?);
+                    } else {
+                        step_entries = Some(read_entries(&mut doc)?);
+                    }
+                } else {
+                    let value = doc.value()?;
+                    fields.push((key, value));
+                }
+            }
+            Ok(())
+        })();
+        parsed.map_err(|e| malformed(&e))?;
+        // The whole file has parsed. The guards and conversions run in
+        // the order a whole-tree load applied them, wherever in the file
+        // their fields sit: version, header fields, per-layer entries,
+        // step entries, then the fingerprint.
+        let header = Value::Map(fields);
+        match header.get("version") {
             Some(Value::U64(v))
                 if (u64::from(CACHE_FORMAT_READ_FLOOR)..=u64::from(CACHE_FORMAT_VERSION))
                     .contains(v) => {}
@@ -379,19 +457,36 @@ impl<B: Backend> Engine<B> {
                 )))
             }
         }
-        // The version probe already parsed the document; deserialize the
-        // typed view from the same tree instead of re-parsing the text.
-        let file: CacheFile = Deserialize::from_value(&probe)
-            .map_err(|e| invalid(format!("malformed cache file {}: {e}", path.display())))?;
+        let missing = |name: &str| DeError(format!("missing field `{name}` in CacheFile"));
+        let field = |name: &str| {
+            header
+                .get(name)
+                .ok_or_else(|| missing(name))
+                .and_then(String::from_value)
+                .map_err(|e| malformed(&e))
+        };
+        let theirs = BackendFingerprint {
+            backend: field("backend")?,
+            gpu: field("gpu")?,
+            config: field("config")?,
+        };
+        let entries = entries
+            .unwrap_or_else(|| {
+                Vec::from_value(header.get("entries").ok_or_else(|| missing("entries"))?)
+            })
+            .map_err(|e| malformed(&e))?;
+        // v2 files have no step section.
+        let step_entries = step_entries
+            .unwrap_or_else(|| {
+                header
+                    .get("step_entries")
+                    .map_or(Ok(Vec::new()), Vec::from_value)
+            })
+            .map_err(|e| malformed(&e))?;
         // The compatibility decision is the shared fingerprint triple
         // (also the fleet handshake and `/healthz` check); only the
         // wording of the refusal is cache-specific.
         let ours = BackendFingerprint::of(&self.backend);
-        let theirs = BackendFingerprint {
-            backend: file.backend.clone(),
-            gpu: file.gpu.clone(),
-            config: file.config.clone(),
-        };
         match theirs.mismatch(&ours) {
             Some(FingerprintMismatch::Identity) => {
                 return Err(invalid(format!(
@@ -416,10 +511,10 @@ impl<B: Backend> Engine<B> {
             }
             None => {}
         }
-        let n = file.entries.len() + file.step_entries.len();
+        let n = entries.len() + step_entries.len();
         {
             let mut cache = self.cache.lock().expect("engine cache poisoned");
-            for e in file.entries {
+            for e in entries {
                 cache.insert(
                     e.query.fingerprint(),
                     CacheSlot {
@@ -430,7 +525,7 @@ impl<B: Backend> Engine<B> {
             }
         }
         let mut step_cache = self.step_cache.lock().expect("engine step cache poisoned");
-        for e in file.step_entries {
+        for e in step_entries {
             step_cache.insert(e.key, e.evaluation);
         }
         Ok(n)
@@ -1372,6 +1467,166 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // A missing file is a plain filesystem error.
         assert!(engine.load_cache(&dir.join("absent.json")).is_err());
+    }
+
+    /// The whole-tree rendering of `engine`'s caches, which `save_cache`
+    /// wrote with `to_string_pretty` before it streamed.
+    fn cache_file_tree<B: Backend>(engine: &Engine<B>) -> CacheFile {
+        let (entries, step_entries) = engine.cache_snapshot();
+        CacheFile {
+            version: CACHE_FORMAT_VERSION,
+            backend: engine.backend.name().to_string(),
+            gpu: engine.backend.gpu().name().to_string(),
+            config: engine.backend.config_fingerprint(),
+            entries,
+            step_entries,
+        }
+    }
+
+    #[test]
+    fn streamed_save_writes_the_bytes_of_the_tree_writer() {
+        let dir = std::env::temp_dir().join("delta_engine_streamed_save_test");
+        let path = dir.join("cache.json");
+        let net = vec![conv("first", 3, 28, 16), conv("second", 16, 28, 32)];
+        let fresh = || Engine::new(Delta::new(GpuSpec::titan_xp()));
+        let empty = fresh();
+        let layers = fresh();
+        layers
+            .evaluate_network(&repeated_net(), &Parallelism::Single)
+            .unwrap();
+        layers.evaluate(&multi(&net[0], 2)).unwrap();
+        let both = fresh();
+        both.evaluate_step(&StepQuery::new(&net, Parallelism::Single))
+            .unwrap();
+        // Step entries alone: load a file holding only `both`'s steps.
+        let steps = fresh();
+        let mut tree = cache_file_tree(&both);
+        tree.entries.clear();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, serde_json::to_string_pretty(&tree).unwrap()).unwrap();
+        steps.load_cache(&path).unwrap();
+
+        for (name, engine, kinds) in [
+            ("empty", &empty, (false, false)),
+            ("per-layer only", &layers, (true, false)),
+            ("step only", &steps, (false, true)),
+            ("both", &both, (true, true)),
+        ] {
+            let tree = cache_file_tree(engine);
+            assert_eq!(
+                (!tree.entries.is_empty(), !tree.step_entries.is_empty()),
+                kinds,
+                "{name}"
+            );
+            engine.save_cache(&path).unwrap();
+            let streamed = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(
+                streamed,
+                serde_json::to_string_pretty(&tree).unwrap(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_or_corrupt_files_load_nothing() {
+        let dir = std::env::temp_dir().join("delta_engine_corrupt_cache_test");
+        let path = dir.join("cache.json");
+        let net = vec![conv("first", 3, 28, 16), conv("second", 16, 28, 32)];
+        let source = Engine::new(Delta::new(GpuSpec::titan_xp()));
+        source
+            .evaluate_network(&repeated_net(), &Parallelism::Single)
+            .unwrap();
+        source
+            .evaluate_step(&StepQuery::new(&net, Parallelism::Single))
+            .unwrap();
+        source.save_cache(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+
+        let mut bad: Vec<String> = (1..8)
+            .map(|k| text.len() * k / 8)
+            .chain([text.len() - 1])
+            .map(|cut| text[..cut].to_string())
+            .collect();
+        // One entry in the middle of `entries` that does not convert, and
+        // one that does not parse.
+        let mut doc: Value = serde_json::from_str(&text).unwrap();
+        let Value::Map(fields) = &mut doc else {
+            panic!("cache file is a JSON object")
+        };
+        let Some((_, Value::Seq(entries))) = fields.iter_mut().find(|(k, _)| k == "entries") else {
+            panic!("cache file has entries")
+        };
+        assert!(entries.len() >= 3, "a middle entry exists");
+        let middle = entries.len() / 2;
+        entries[middle] = Value::Str("corrupt".into());
+        bad.push(serde_json::to_string_pretty(&doc).unwrap());
+        let second = text.match_indices("\"estimate\"").nth(1).unwrap().0;
+        bad.push(format!("{}x{}", &text[..second], &text[second..]));
+
+        let target = Engine::new(Delta::new(GpuSpec::titan_xp()));
+        target.evaluate(&fwd(&conv("x", 16, 14, 32))).unwrap();
+        let state = || {
+            (
+                serde_json::to_string(&target.cache_snapshot()).unwrap(),
+                target.cache_stats(),
+            )
+        };
+        let before = state();
+        for file in &bad {
+            std::fs::write(&path, file).unwrap();
+            let err = target.load_cache(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("malformed cache file"), "{err}");
+            assert_eq!(state(), before, "a failed load changed the engine");
+        }
+        // The intact file loads.
+        std::fs::write(&path, &text).unwrap();
+        assert!(target.load_cache(&path).unwrap() > 0);
+        assert_ne!(state(), before);
+    }
+
+    #[test]
+    fn refusals_do_not_depend_on_field_order() {
+        let dir = std::env::temp_dir().join("delta_engine_field_order_test");
+        let path = dir.join("cache.json");
+        let source = Engine::new(Delta::new(GpuSpec::titan_xp()));
+        source
+            .evaluate_network(&repeated_net(), &Parallelism::Single)
+            .unwrap();
+        source.save_cache(&path).unwrap();
+        let saved = std::fs::read_to_string(&path).unwrap();
+        let Value::Map(fields) = serde_json::from_str(&saved).unwrap() else {
+            panic!("cache file is a JSON object")
+        };
+        let with = |key: &str, value: Option<Value>| -> Vec<(String, Value)> {
+            let mut out: Vec<_> = fields.iter().filter(|(k, _)| k != key).cloned().collect();
+            if let Some(v) = value {
+                out.insert(0, (key.to_string(), v));
+            }
+            out
+        };
+        for (refusal, header_first) in [
+            ("cache format v1", with("version", None)),
+            ("cache format v4", with("version", Some(Value::U64(4)))),
+            ("on `V100`", with("gpu", Some(Value::Str("V100".into())))),
+        ] {
+            // The same file with both entry arrays ahead of the header.
+            let mut entries_first = header_first.clone();
+            let n_header = entries_first.len() - 2;
+            entries_first.rotate_left(n_header);
+            assert_eq!(entries_first[0].0, "entries");
+            let mut errors = Vec::new();
+            for fields in [header_first, entries_first] {
+                let text = serde_json::to_string_pretty(&Value::Map(fields)).unwrap();
+                std::fs::write(&path, text).unwrap();
+                let err = source.load_cache(&path).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains(refusal), "{err}");
+                errors.push(err.to_string());
+            }
+            assert_eq!(errors[0], errors[1]);
+        }
     }
 
     #[test]
