@@ -6,7 +6,7 @@ type Experiment = fn(&Ctx) -> Result<Vec<delta_bench::Table>, delta_model::Error
 
 fn main() {
     let ctx = Ctx::from_args(std::env::args().skip(1));
-    let all: [(&str, Experiment); 18] = [
+    let all: [(&str, Experiment); 17] = [
         ("tab1", ex::tab1::run),
         ("fig04", ex::fig04::run),
         ("fig06", ex::fig06::run),
@@ -22,7 +22,6 @@ fn main() {
         ("fig20", ex::fig20::run),
         ("ablation", ex::ablation::run),
         ("shard_scaling", ex::shard_scaling::run),
-        ("narrow_scaling", ex::narrow_scaling::run),
         ("gpu_scaling", ex::gpu_scaling::run),
         ("overlap_scaling", ex::overlap_scaling::run),
     ];

@@ -5,11 +5,9 @@
 //!    query-cached engine vs. the hand-rolled sequential per-layer loop;
 //! 2. **sharded sim** — one big ResNet152 conv layer through a
 //!    `Sharded { workers }` query at 4 workers vs. 1 worker;
-//! 3. **narrow shard (row axis)** — a 1–2-column conv layer at 4 workers
-//!    vs. 1 worker, the regime only row-level sharding can speed up;
-//! 4. **warm step cache** — a multi-GPU training-step evaluation
+//! 3. **warm step cache** — a multi-GPU training-step evaluation
 //!    answered from a persisted v3 cache file vs. simulated cold;
-//! 5. **tracing overhead** — the sharded evaluation seam with span
+//! 4. **tracing overhead** — the sharded evaluation seam with span
 //!    recording armed vs. off, the one ratio gated against a *ceiling*
 //!    (`baseline × (1 + tolerance)`) instead of a floor.
 //!
@@ -21,14 +19,13 @@
 //! ```
 //!
 //! With `--check`, each measured ratio must stay above
-//! `baseline × (1 − tolerance)` or the process exits non-zero. The two
-//! shard-speedup checks are skipped (with a notice) on hosts with fewer
-//! than 4 cores, where the 4-worker floors are physically unattainable
+//! `baseline × (1 − tolerance)` or the process exits non-zero. The
+//! shard-speedup check is skipped (with a notice) on hosts with fewer
+//! than 4 cores, where the 4-worker floor is physically unattainable
 //! (speedup ≤ min(workers, work units, cores)); the warm-step-cache
 //! check runs everywhere because a warm hit simulates nothing and so
 //! does not depend on the core count. The correctness checks —
-//! shard bitwise identity (4 workers vs. 1, on both the wide and the
-//! narrow layer), warm-step identity (the cache-file answer must match
+//! shard bitwise identity (4 workers vs. 1), warm-step identity (the cache-file answer must match
 //! the cold simulation bitwise with zero replays), multi-GPU identity
 //! (4 devices under the `ideal` interconnect vs. the single-device
 //! sharded run), the collective scheduler's bounds
@@ -50,7 +47,7 @@
 //! on the A100's tensor-core datapath must answer bitwise identically
 //! at every worker count) — run everywhere and are never skipped.
 
-use delta_bench::experiments::{gemm_scaling, narrow_scaling, shard_scaling};
+use delta_bench::experiments::{gemm_scaling, shard_scaling};
 use delta_bench::serve_client;
 use delta_model::engine::{Engine, EngineOptions};
 use delta_model::query::{EvalQuery, Parallelism, StepQuery};
@@ -84,12 +81,6 @@ struct GateReport {
     /// Whether the 4-worker query answered bitwise identically to the
     /// 1-worker query (must always be true).
     shard_identical: bool,
-    /// 4-worker over 1-worker sharded-query speedup on a narrow
-    /// (1–2-column) ResNet152 conv layer — the row-sharding regime.
-    narrow_shard_speedup: f64,
-    /// Whether the narrow 4-worker query answered bitwise identically
-    /// to the 1-worker query (must always be true).
-    narrow_shard_identical: bool,
     /// Warm over cold multi-GPU step-evaluation speedup, where the warm
     /// engine answers from a persisted v3 cache file.
     warm_step_cache_speedup: f64,
@@ -148,8 +139,6 @@ struct Baseline {
     engine_cached_speedup: f64,
     /// Expected 4-worker shard speedup.
     shard_speedup_4w: f64,
-    /// Expected 4-worker narrow-layer (row-axis) shard speedup.
-    narrow_shard_speedup: f64,
     /// Expected warm-over-cold step-cache speedup.
     warm_step_cache_speedup: f64,
     /// Expected tracing-on over tracing-off wall-time ratio; the gate
@@ -402,27 +391,6 @@ fn measure(reps: u32) -> GateReport {
             .cycles
     });
 
-    // Path 2b: the same seam on a *narrow* layer (1–2 tile columns),
-    // where the column axis alone cannot use 4 workers and the plan
-    // switches to row-level sharding (CTA-batch sub-ranges). The
-    // speedup is bounded by min(workers, columns × batches, cores).
-    let narrow = narrow_scaling::narrowest_layer(16).expect("valid layer");
-    let narrow_q = |workers: u32| EvalQuery::forward(&narrow, Parallelism::Sharded { workers });
-    let ne1 = engine.evaluate(&narrow_q(1)).expect("simulable layer");
-    let ne4 = engine.evaluate(&narrow_q(4)).expect("simulable layer");
-    let nt1 = best_of(reps, || {
-        engine
-            .evaluate(&narrow_q(1))
-            .expect("simulable layer")
-            .cycles
-    });
-    let nt4 = best_of(reps, || {
-        engine
-            .evaluate(&narrow_q(4))
-            .expect("simulable layer")
-            .cycles
-    });
-
     // Path 3 (correctness only): the multi-GPU merge identity through
     // the query API. Under the zero-cost `ideal` interconnect a 4-device
     // query must reproduce the single-device sharded answer bitwise and
@@ -603,8 +571,6 @@ fn measure(reps: u32) -> GateReport {
         engine_cached_speedup: t_loop / t_engine,
         shard_speedup_4w: t1 / t4,
         shard_identical: e1 == e4,
-        narrow_shard_speedup: nt1 / nt4,
-        narrow_shard_identical: ne1 == ne4,
         warm_step_cache_speedup: t_cold / t_warm,
         warm_step_identical,
         multigpu_ideal_identical,
@@ -673,7 +639,6 @@ fn main() {
     println!(
         "perf_gate ({} cores, best of {reps}):\n  engine_cached_speedup    = {:.2}x\n  \
          shard_speedup_4w         = {:.2}x\n  shard_identical          = {}\n  \
-         narrow_shard_speedup     = {:.2}x\n  narrow_shard_identical   = {}\n  \
          warm_step_cache_speedup  = {:.2}x\n  warm_step_identical      = {}\n  \
          multigpu_ideal_identical = {}\n  overlap_bounds_ok        = {}\n  \
          golden_identical         = {}\n  serve_warm_dedup         = {}\n  \
@@ -683,8 +648,6 @@ fn main() {
         report.engine_cached_speedup,
         report.shard_speedup_4w,
         report.shard_identical,
-        report.narrow_shard_speedup,
-        report.narrow_shard_identical,
         report.warm_step_cache_speedup,
         report.warm_step_identical,
         report.multigpu_ideal_identical,
@@ -714,13 +677,6 @@ fn main() {
     if !report.shard_identical {
         failures
             .push("sharded measurement is not bitwise identical to the 1-worker run".to_string());
-    }
-    if !report.narrow_shard_identical {
-        failures.push(
-            "narrow-layer (row-axis) sharded measurement is not bitwise identical \
-             to the 1-worker run"
-                .to_string(),
-        );
     }
     if !report.warm_step_identical {
         failures.push(
@@ -823,24 +779,18 @@ fn main() {
             report.warm_step_cache_speedup,
             base.warm_step_cache_speedup,
         );
-        // The 4-worker floors are only attainable with 4 cores: speedup
-        // is bounded by min(workers, work units, cores), so on 2–3 core
-        // hosts the checks would fail with no real regression.
+        // The 4-worker floor is only attainable with 4 cores: speedup
+        // is bounded by min(workers, columns, cores), so on 2–3 core
+        // hosts the check would fail with no real regression.
         if report.cores >= 4 {
             gate(
                 "shard_speedup_4w",
                 report.shard_speedup_4w,
                 base.shard_speedup_4w,
             );
-            gate(
-                "narrow_shard_speedup",
-                report.narrow_shard_speedup,
-                base.narrow_shard_speedup,
-            );
         } else {
             println!(
-                "check shard_speedup_4w, narrow_shard_speedup: skipped \
-                 ({} cores; the 4-worker floors need >= 4)",
+                "check shard_speedup_4w: skipped ({} cores; the 4-worker floor needs >= 4)",
                 report.cores
             );
         }

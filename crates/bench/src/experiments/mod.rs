@@ -17,7 +17,6 @@ pub mod fig20;
 pub mod fleet_scaling;
 pub mod gemm_scaling;
 pub mod gpu_scaling;
-pub mod narrow_scaling;
 pub mod overlap_scaling;
 pub mod shard_scaling;
 pub mod tab1;

@@ -169,8 +169,8 @@ fn multi_gpu_from(
     if flags.contains_key("topology") && gpus.is_none() {
         return Err("--topology requires --gpus G".into());
     }
-    // Devices already partition the layer's work units (columns, then
-    // CTA-batch rows), so a worker count has nothing left to split;
+    // Devices already partition the layer's work units (its tile
+    // columns), so a worker count has nothing left to split;
     // reject the combination instead of silently ignoring one flag.
     if gpus.is_some() && flags.contains_key("shards") {
         return Err(
@@ -220,78 +220,35 @@ fn reject_sched_flags(flags: &HashMap<String, String>, command: &str) -> Result<
     Ok(())
 }
 
-/// The partition assigns work by tile column first; past a layer's
-/// column count it switches to the row axis (CTA-batch sub-ranges
-/// within each column), so the true parallelism ceiling is columns ×
-/// simulated batches. Note on stderr which axis each worker count
-/// lands on, and warn only when even the row axis runs out of work
-/// units (narrow GEMMs, Co ≤ 128, have only one or two columns).
-fn warn_surplus_columns(
-    sim: &Simulator,
-    layers: &[ConvLayer],
-    n: u32,
-    flag: &str,
-    unit: &str,
-    tail: &str,
-) {
-    let units: Vec<(u64, u64)> = layers.iter().map(|l| sim.partition_units(l)).collect();
-    let rows = units
-        .iter()
-        .filter(|(c, b)| u64::from(n) > *c && u64::from(n) <= c * b)
-        .count();
-    if rows > 0 {
-        eprintln!(
-            "note: --{flag} {n} exceeds the tile-column count of {rows} of {} layer(s); \
-             the row axis (CTA-batch sub-ranges within each column) keeps all {unit} busy there",
-            units.len()
-        );
-    }
-    let short = units.iter().filter(|(c, b)| u64::from(n) > c * b).count();
+/// Tile columns are the ownership unit of both the shard and the device
+/// partition, so a worker/device count beyond a layer's column count
+/// leaves the surplus idle (narrow GEMMs, Co ≤ 128, have only one or
+/// two columns). Say so on stderr instead of silently under-using them.
+fn warn_surplus_columns(sim: &Simulator, layers: &[ConvLayer], n: u32, flag: &str, unit: &str) {
+    let columns: Vec<u64> = layers.iter().map(|l| sim.tiling(l).cta_columns()).collect();
+    let short = columns.iter().filter(|c| u64::from(n) > **c).count();
     if short == 0 {
         return;
     }
-    let (min_c, min_b) = units
-        .iter()
-        .copied()
-        .min_by_key(|(c, b)| c * b)
-        .unwrap_or((0, 0));
+    let min = columns.iter().copied().min().unwrap_or(0);
     eprintln!(
-        "note: --{flag} {n} exceeds the row-axis work units (columns × CTA batches) of \
-         {short} of {} layer(s) (narrowest has {min_c} × {min_b} = {}); \
-         surplus {unit} idle there — {tail}",
-        units.len(),
-        min_c * min_b
+        "note: --{flag} {n} exceeds the tile-column count of {short} of {} layer(s) \
+         (narrowest has {min}); surplus {unit} idle there and results are unchanged",
+        columns.len()
     );
 }
 
-/// Satellite of the multi-GPU seam, mirroring [`warn_surplus_shards`]:
-/// ideal scaling saturates at `min(G, columns × batches)` — say so
-/// instead of letting the flat speedup curve surprise.
+/// Satellite of the multi-GPU seam, mirroring [`warn_surplus_shards`].
 fn warn_surplus_gpus(sim: &Simulator, layers: &[ConvLayer], gpus: u32) {
-    warn_surplus_columns(
-        sim,
-        layers,
-        gpus,
-        "gpus",
-        "devices",
-        "ideal scaling saturates at min(G, columns × batches)",
-    );
+    warn_surplus_columns(sim, layers, gpus, "gpus", "devices");
 }
 
 /// Satellite of the sharding seam (`--shards N` beyond the narrowest
 /// layer's columns).
 fn warn_surplus_shards(sim: &Simulator, layers: &[ConvLayer]) {
-    let Some(n) = sim.config().shards else {
-        return;
-    };
-    warn_surplus_columns(
-        sim,
-        layers,
-        n,
-        "shards",
-        "workers",
-        "results are unchanged, only the speedup saturates",
-    );
+    if let Some(n) = sim.config().shards {
+        warn_surplus_columns(sim, layers, n, "shards", "workers");
+    }
 }
 
 /// Wraps an engine run with the optional `--cache-file` persistence:
@@ -1056,9 +1013,9 @@ fn usage() -> String {
      cores: GEMM/attention layers — e.g. gpt2s — run on the MMA datapath)\n  \
      --backend      model (default: instant analytical model) | sim (trace-driven simulator)\n  \
      --batch        mini-batch size (default 256 for model, 16 for sim)\n  \
-     --shards       sim only: partition each layer over N parallel workers — by tile column,\n                 \
-     or by CTA-batch rows once N exceeds the column count (results are\n                 \
-     bitwise identical for every N)\n  \
+     --shards       sim only: partition each layer's tile columns over N parallel workers;\n                 \
+     workers beyond a layer's column count idle (results are bitwise\n                 \
+     identical for every N)\n  \
      --gpus         sim only: simulate the layer partitioned across G devices\n  \
      --interconnect ideal | nvlink (default with --gpus) | pcie — prices cross-device halo\n                 \
      and gradient all-reduce traffic; `ideal` is zero-cost, so its output is\n                 \

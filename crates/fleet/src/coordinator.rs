@@ -6,16 +6,17 @@
 //!
 //! The coordinator never invents a decomposition. It asks the planning
 //! simulator for the exact [`ShardPlan`](delta_sim::ShardPlan) the
-//! in-process
-//! `run_sharded`/`run_multi` path would use
-//! ([`Simulator::shard_plan`]), turns each of the plan's units — whole
-//! tile columns on the column axis, per-column batch segments on the
-//! row axis — into one [`JobMsg`], and merges the replies with
-//! [`Simulator::merge_column_replays`] /
-//! [`Simulator::merge_segment_replays`], which regroup the parts by the
-//! plan's own shard boundaries and run the *same* merge code as the
+//! in-process `run_sharded`/`run_multi` path would use
+//! ([`Simulator::shard_plan`]), turns each of the plan's tile columns
+//! into one [`JobMsg`], and merges the replies with
+//! [`Simulator::merge_column_replays`], which regroups the parts by the
+//! plan's own shard boundaries and runs the *same* merge code as the
 //! local path. Which executor computed which unit, in which order, and
-//! how many times is therefore invisible to the result.
+//! how many times is therefore invisible to the result. Query assembly
+//! (validation, pass transforms, the wgrad all-reduce surcharge, step
+//! schedules) is not repeated here either: the coordinator hands a
+//! [`ReplaySource`] to [`Simulator::evaluate_with`] and
+//! [`Simulator::evaluate_step_with`].
 //!
 //! # Robustness
 //!
@@ -35,12 +36,11 @@ use crate::protocol::{
 };
 use delta_model::{
     Backend, BackendFingerprint, ConvLayer, Error, EvalQuery, GpuSpec, LayerEstimate, LayerShape,
-    Parallelism, Pass, StepEvaluation, StepQuery,
+    Parallelism, StepEvaluation, StepQuery,
 };
 use delta_obs::{span, CorrelationGuard, Counter, Registry, SpanEvent};
 use delta_sim::{
-    add_wgrad_all_reduce, ColumnReplay, Measurement, MultiGpuMeasurement, ReplaySource,
-    SegmentReplay, ShardAxis, ShardedRun, Simulator,
+    ColumnReplay, Measurement, MultiGpuMeasurement, ReplaySource, ShardedRun, Simulator,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -481,111 +481,18 @@ impl Coordinator {
             }
         }
     }
+}
 
-    /// The plan's work units for one layer replay as wire jobs, in
-    /// ascending unit order (ids are assigned by [`Self::run_jobs`]).
-    fn unit_jobs(&self, layer: &ConvLayer, n_workers: u32) -> (ShardAxis, Vec<JobMsg>) {
-        let plan = self.sim.shard_plan(layer, n_workers);
-        let shape = LayerShape::of(layer);
-        let job = |kind, col, batch_start, batch_end| JobMsg {
-            id: 0,
-            shape,
-            kind,
-            col,
-            batch_start,
-            batch_end,
-            corr: 0,
-            trace: false,
-        };
-        match plan.axis() {
-            ShardAxis::Columns => (
-                ShardAxis::Columns,
-                (0..plan.columns())
-                    .map(|col| job(JobKind::Column, col, 0, 0))
-                    .collect(),
-            ),
-            ShardAxis::Rows => (
-                ShardAxis::Rows,
-                (0..plan.n_workers())
-                    .flat_map(|s| plan.shard_segments(s))
-                    .map(|seg| {
-                        job(
-                            JobKind::Segment,
-                            seg.col,
-                            seg.batches.start,
-                            seg.batches.end,
-                        )
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Distributed [`Simulator::run_sequential`]: the whole layer as
-    /// one job on one executor.
-    fn run_sequential_fleet(&self, layer: &ConvLayer) -> Result<Measurement, Error> {
-        let shape = LayerShape::of(layer);
-        let jobs = vec![JobMsg {
-            id: 0,
-            shape,
-            kind: JobKind::Sequential,
-            col: 0,
-            batch_start: 0,
-            batch_end: 0,
-            corr: 0,
-            trace: false,
-        }];
-        let mut replies = self.run_jobs(jobs)?;
-        replies.remove(0).sequential.ok_or_else(|| Error::Fleet {
-            context: "merge".into(),
-            reason: "executor answered a sequential job without a measurement".into(),
-        })
-    }
-
-    /// Distributed [`Simulator::run_sharded_detail`]: the plan's units
-    /// fan over the fleet and the parts merge through the simulator's
-    /// validated entry points — bitwise identical to the in-process run
-    /// for every executor count.
-    fn run_sharded_fleet(&self, layer: &ConvLayer, n_workers: u32) -> Result<ShardedRun, Error> {
-        let (axis, jobs) = self.unit_jobs(layer, n_workers);
-        let replies = self.run_jobs(jobs)?;
-        let missing = |what: &str| Error::Fleet {
-            context: "merge".into(),
-            reason: format!("executor answered a {what} job without a {what} part"),
-        };
-        match axis {
-            ShardAxis::Columns => {
-                let parts: Vec<ColumnReplay> = replies
-                    .into_iter()
-                    .map(|r| r.column.ok_or_else(|| missing("column")))
-                    .collect::<Result<_, _>>()?;
-                self.sim.merge_column_replays(layer, n_workers, parts)
-            }
-            ShardAxis::Rows => {
-                let parts: Vec<SegmentReplay> = replies
-                    .into_iter()
-                    .map(|r| r.segment.ok_or_else(|| missing("segment")))
-                    .collect::<Result<_, _>>()?;
-                self.sim.merge_segment_replays(layer, n_workers, parts)
-            }
-        }
-    }
-
-    /// Distributed [`Simulator::run_multi_fabric`]: the per-device
-    /// sharded run comes from the fleet, the fabric pricing from the
-    /// planning simulator.
-    fn run_multi_fleet(
-        &self,
-        layer: &ConvLayer,
-        devices: u32,
-        interconnect: delta_model::InterconnectKind,
-        topology: Option<delta_model::TopologyKind>,
-    ) -> Result<MultiGpuMeasurement, Error> {
-        let g = devices.max(1);
-        let run = self.run_sharded_fleet(layer, g)?;
-        Ok(self
-            .sim
-            .multi_from_run(layer, run, g, interconnect, topology))
+/// One wire job of `kind` for the layer `shape` describes (ids,
+/// correlation and tracing are filled in by [`Coordinator::run_jobs`]).
+fn job(shape: LayerShape, kind: JobKind, col: u64) -> JobMsg {
+    JobMsg {
+        id: 0,
+        shape,
+        kind,
+        col,
+        corr: 0,
+        trace: false,
     }
 }
 
@@ -606,31 +513,61 @@ enum Outcome {
 struct FleetReplays<'a>(&'a Coordinator);
 
 impl FleetReplays<'_> {
-    /// Runs each layer's job batch through one shared board and merges
+    /// Runs each layer's job list through one shared board and merges
     /// per layer with `merge`.
     fn batched<T>(
         &self,
-        batches: Vec<(ShardAxis, Vec<JobMsg>)>,
-        merge: impl Fn(usize, ShardAxis, Vec<JobReply>) -> Result<T, Error>,
+        batches: Vec<Vec<JobMsg>>,
+        merge: impl Fn(usize, Vec<JobReply>) -> Result<T, Error>,
     ) -> Result<Vec<T>, Error> {
         let mut all = Vec::new();
-        let mut ranges = Vec::with_capacity(batches.len());
-        let mut axes = Vec::with_capacity(batches.len());
-        for (axis, jobs) in batches {
-            let start = all.len();
+        let mut starts = Vec::with_capacity(batches.len());
+        for jobs in batches {
+            starts.push(all.len());
             all.extend(jobs);
-            ranges.push(start..all.len());
-            axes.push(axis);
         }
         let mut replies = self.0.run_jobs(all)?;
-        let _span = span!("fleet.merge", layers = ranges.len());
-        let mut out = Vec::with_capacity(ranges.len());
-        for (i, range) in ranges.iter().enumerate().rev() {
-            let tail = replies.split_off(range.start);
-            out.push(merge(i, axes[i], tail)?);
+        let _span = span!("fleet.merge", layers = starts.len());
+        let mut out = Vec::with_capacity(starts.len());
+        for (i, &start) in starts.iter().enumerate().rev() {
+            let tail = replies.split_off(start);
+            out.push(merge(i, tail)?);
         }
         out.reverse();
         Ok(out)
+    }
+
+    /// Distributed [`Simulator::run_sharded_detail`] for every layer:
+    /// one `Column` job per tile column, merged per layer through the
+    /// simulator's validated entry point — bitwise identical to the
+    /// in-process run for every executor count.
+    fn sharded(&self, layers: &[&ConvLayer], n_workers: u32) -> Result<Vec<ShardedRun>, Error> {
+        let sim = &self.0.sim;
+        let batches = layers
+            .iter()
+            .map(|l| {
+                let shape = LayerShape::of(l);
+                (0..sim.shard_plan(l, n_workers).columns())
+                    .map(|col| job(shape, JobKind::Column, col))
+                    .collect()
+            })
+            .collect();
+        self.batched(batches, |i, replies| {
+            let parts: Vec<ColumnReplay> = replies
+                .into_iter()
+                .map(|r| r.column.ok_or_else(|| missing_part("column")))
+                .collect::<Result<_, _>>()?;
+            sim.merge_column_replays(layers[i], n_workers, parts)
+        })
+    }
+}
+
+/// The error for a success reply that lacks the payload its job kind
+/// promises.
+fn missing_part(what: &str) -> Error {
+    Error::Fleet {
+        context: "merge".into(),
+        reason: format!("executor answered a {what} job without a {what} part"),
     }
 }
 
@@ -640,61 +577,20 @@ impl ReplaySource for FleetReplays<'_> {
         layers: &[&ConvLayer],
         parallelism: &Parallelism,
     ) -> Result<Vec<Measurement>, Error> {
-        match parallelism {
-            Parallelism::Sharded { workers } => {
-                let n = (*workers).max(1);
-                let batches = layers.iter().map(|l| self.0.unit_jobs(l, n)).collect();
-                self.batched(batches, |i, axis, replies| {
-                    let missing = |what: &str| Error::Fleet {
-                        context: "merge".into(),
-                        reason: format!("executor answered a {what} job without a {what} part"),
-                    };
-                    let run = match axis {
-                        ShardAxis::Columns => {
-                            let parts: Vec<ColumnReplay> = replies
-                                .into_iter()
-                                .map(|r| r.column.ok_or_else(|| missing("column")))
-                                .collect::<Result<_, _>>()?;
-                            self.0.sim.merge_column_replays(layers[i], n, parts)?
-                        }
-                        ShardAxis::Rows => {
-                            let parts: Vec<SegmentReplay> = replies
-                                .into_iter()
-                                .map(|r| r.segment.ok_or_else(|| missing("segment")))
-                                .collect::<Result<_, _>>()?;
-                            self.0.sim.merge_segment_replays(layers[i], n, parts)?
-                        }
-                    };
-                    Ok(run.measurement)
-                })
-            }
-            _ => {
-                let batches = layers
-                    .iter()
-                    .map(|l| {
-                        (
-                            ShardAxis::Columns,
-                            vec![JobMsg {
-                                id: 0,
-                                shape: LayerShape::of(l),
-                                kind: JobKind::Sequential,
-                                col: 0,
-                                batch_start: 0,
-                                batch_end: 0,
-                                corr: 0,
-                                trace: false,
-                            }],
-                        )
-                    })
-                    .collect();
-                self.batched(batches, |_, _, mut replies| {
-                    replies.remove(0).sequential.ok_or_else(|| Error::Fleet {
-                        context: "merge".into(),
-                        reason: "executor answered a sequential job without a measurement".into(),
-                    })
-                })
-            }
+        if let Parallelism::Sharded { workers } = parallelism {
+            let runs = self.sharded(layers, (*workers).max(1))?;
+            return Ok(runs.into_iter().map(|r| r.measurement).collect());
         }
+        let batches = layers
+            .iter()
+            .map(|l| vec![job(LayerShape::of(l), JobKind::Sequential, 0)])
+            .collect();
+        self.batched(batches, |_, mut replies| {
+            replies
+                .remove(0)
+                .sequential
+                .ok_or_else(|| missing_part("sequential"))
+        })
     }
 
     fn multi_all(
@@ -705,33 +601,12 @@ impl ReplaySource for FleetReplays<'_> {
         topology: Option<delta_model::TopologyKind>,
     ) -> Result<Vec<MultiGpuMeasurement>, Error> {
         let g = devices.max(1);
-        let batches = layers.iter().map(|l| self.0.unit_jobs(l, g)).collect();
-        self.batched(batches, |i, axis, replies| {
-            let missing = |what: &str| Error::Fleet {
-                context: "merge".into(),
-                reason: format!("executor answered a {what} job without a {what} part"),
-            };
-            let run = match axis {
-                ShardAxis::Columns => {
-                    let parts: Vec<ColumnReplay> = replies
-                        .into_iter()
-                        .map(|r| r.column.ok_or_else(|| missing("column")))
-                        .collect::<Result<_, _>>()?;
-                    self.0.sim.merge_column_replays(layers[i], g, parts)?
-                }
-                ShardAxis::Rows => {
-                    let parts: Vec<SegmentReplay> = replies
-                        .into_iter()
-                        .map(|r| r.segment.ok_or_else(|| missing("segment")))
-                        .collect::<Result<_, _>>()?;
-                    self.0.sim.merge_segment_replays(layers[i], g, parts)?
-                }
-            };
-            Ok(self
-                .0
-                .sim
-                .multi_from_run(layers[i], run, g, interconnect, topology))
-        })
+        let runs = self.sharded(layers, g)?;
+        Ok(layers
+            .iter()
+            .zip(runs)
+            .map(|(l, run)| self.0.sim.multi_from_run(l, run, g, interconnect, topology))
+            .collect())
     }
 }
 
@@ -754,43 +629,7 @@ impl Backend for Coordinator {
     fn evaluate(&self, query: &EvalQuery) -> Result<LayerEstimate, Error> {
         let _corr = trace_query();
         let _span = span!("fleet.query", kind = "eval");
-        self.sim.gpu().validate()?;
-        let layer = query.layer()?;
-        let replayed = Simulator::pass_workload(&layer, query.pass)?;
-        match &query.parallelism {
-            Parallelism::Single => Ok(self
-                .run_sequential_fleet(&replayed)?
-                .to_estimate(self.sim.gpu())),
-            Parallelism::Sharded { workers } => Ok(self
-                .run_sharded_fleet(&replayed, (*workers).max(1))?
-                .measurement
-                .to_estimate(self.sim.gpu())),
-            Parallelism::Multi {
-                devices,
-                interconnect,
-                topology,
-            } => {
-                self.sim.require_homogeneous(devices)?;
-                let g = (devices.len() as u32).max(1);
-                let mut est = self
-                    .run_multi_fleet(&replayed, g, *interconnect, *topology)?
-                    .to_estimate(self.sim.gpu());
-                if query.pass == Pass::Wgrad {
-                    // Same surcharge as the in-process path: the
-                    // data-parallel step all-reduces the ORIGINAL
-                    // layer's weight gradients once across the devices.
-                    add_wgrad_all_reduce(
-                        &mut est,
-                        self.sim.gpu(),
-                        *interconnect,
-                        *topology,
-                        layer.filter_bytes() as f64,
-                        g,
-                    );
-                }
-                Ok(est)
-            }
-        }
+        self.sim.evaluate_with(query, &FleetReplays(self))
     }
 
     fn evaluate_step(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {

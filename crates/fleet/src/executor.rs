@@ -4,9 +4,9 @@
 //! An executor is deliberately dumb: it holds no plan, no query, and no
 //! cross-job state. It handshakes (refusing any coordinator whose
 //! [`BackendFingerprint`] differs from its own), then answers each
-//! [`JobMsg`] with the corresponding unit replay — `Sequential` /
-//! `Column` / `Segment` — computed by exactly the entry points the
-//! in-process sharded runner uses. All the distributed-systems
+//! [`JobMsg`] with the corresponding unit replay — `Sequential` or
+//! `Column` — computed by exactly the entry points the in-process
+//! sharded runner uses. All the distributed-systems
 //! intelligence (partitioning, retry, merge) lives in the
 //! [`coordinator`](crate::coordinator); executors can therefore be
 //! killed, restarted, and duplicated freely without affecting the
@@ -355,7 +355,6 @@ fn traced_answer(sim: &Simulator, job: &JobMsg) -> JobReply {
         let kind = match job.kind {
             JobKind::Sequential => "sequential",
             JobKind::Column => "column",
-            JobKind::Segment => "segment",
         };
         let _span = span!("fleet.execute", job = job.id, kind = kind);
         answer(sim, job)
@@ -382,11 +381,6 @@ fn answer(sim: &Simulator, job: &JobMsg) -> JobReply {
         JobKind::Column => sim.replay_column_unit(&layer, job.col).map(|part| {
             reply.column = Some(part);
         }),
-        JobKind::Segment => sim
-            .replay_segment_unit(&layer, job.col, job.batch_start..job.batch_end)
-            .map(|part| {
-                reply.segment = Some(part);
-            }),
     };
     match outcome {
         Ok(()) => reply,
@@ -432,6 +426,20 @@ mod tests {
         );
         assert!(!reply.ok);
         assert!(reply.error.unwrap().contains("protocol revision"));
+
+        // A revision-1 coordinator is refused with a message naming
+        // both revisions.
+        let reply = handshake_reply(
+            &Hello {
+                protocol: 1,
+                fingerprint: ours.clone(),
+                version: String::new(),
+            },
+            &ours,
+        );
+        assert!(!reply.ok);
+        let msg = reply.error.unwrap();
+        assert!(msg.contains("v1") && msg.contains("v2"), "{msg}");
 
         let reply = handshake_reply(
             &Hello {

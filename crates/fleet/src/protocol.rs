@@ -16,14 +16,14 @@
 
 use delta_model::{BackendFingerprint, LayerShape};
 use delta_obs::{ArgValue, SpanEvent};
-use delta_sim::{ColumnReplay, Measurement, SegmentReplay};
+use delta_sim::{ColumnReplay, Measurement};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 /// Protocol revision. Bumped on any frame- or schema-incompatible
 /// change; the handshake refuses a peer speaking a different revision.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on a frame's payload length. A length prefix beyond
 /// this is treated as a corrupt stream rather than an allocation
@@ -94,16 +94,12 @@ pub struct HelloReply {
 pub enum JobKind {
     /// Whole-layer sequential replay
     /// ([`Simulator::run_sequential`](delta_sim::Simulator::run_sequential)):
-    /// the `Parallelism::Single` job. `col`/`batch_*` are ignored.
+    /// the `Parallelism::Single` job. `col` is ignored.
     Sequential,
     /// One tile column
     /// ([`Simulator::replay_column_unit`](delta_sim::Simulator::replay_column_unit)):
-    /// the column-axis unit. `batch_*` are ignored.
+    /// the unit of every sharded and multi-device replay.
     Column,
-    /// One column sub-range
-    /// ([`Simulator::replay_segment_unit`](delta_sim::Simulator::replay_segment_unit)):
-    /// the row-axis unit, `batch_start..batch_end`.
-    Segment,
 }
 
 /// One work unit: replay `kind` of the layer `shape` describes.
@@ -123,12 +119,8 @@ pub struct JobMsg {
     pub shape: LayerShape,
     /// Which replay entry point to run.
     pub kind: JobKind,
-    /// Tile column of the unit (`Column`/`Segment` kinds).
+    /// Tile column of the unit (`Column` kind).
     pub col: u64,
-    /// First batch of the sub-range (`Segment` kind).
-    pub batch_start: u64,
-    /// One past the last batch of the sub-range (`Segment` kind).
-    pub batch_end: u64,
     /// Correlation id of the coordinator query this job belongs to, so
     /// executor-side spans stitch into the coordinator's trace. `0`
     /// means untraced; frames from older coordinators decode as 0.
@@ -140,7 +132,7 @@ pub struct JobMsg {
     pub trace: bool,
 }
 
-/// One job's result. Exactly one of the three payload fields is
+/// One job's result. Exactly one of the two payload fields is
 /// populated on success, matching the request's [`JobKind`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobReply {
@@ -154,8 +146,6 @@ pub struct JobReply {
     pub sequential: Option<Measurement>,
     /// `Column` result: the column's serialized merge part.
     pub column: Option<ColumnReplay>,
-    /// `Segment` result: the sub-range's serialized merge part.
-    pub segment: Option<SegmentReplay>,
     /// Spans the executor recorded while running the job (only when the
     /// request set [`JobMsg::trace`]). Additive: replies from older
     /// executors decode as empty.
@@ -172,7 +162,6 @@ impl JobReply {
             error: Some(error),
             sequential: None,
             column: None,
-            segment: None,
             spans: Vec::new(),
         }
     }
@@ -186,7 +175,6 @@ impl JobReply {
             error: None,
             sequential: None,
             column: None,
-            segment: None,
             spans: Vec::new(),
         }
     }
@@ -337,10 +325,8 @@ mod tests {
         let msg = JobMsg {
             id: 7,
             shape: shape(),
-            kind: JobKind::Segment,
+            kind: JobKind::Column,
             col: 1,
-            batch_start: 2,
-            batch_end: 5,
             corr: 42,
             trace: true,
         };
@@ -389,21 +375,18 @@ mod tests {
     #[test]
     fn frames_from_pre_observability_peers_decode_with_defaults() {
         // The observability fields (`corr`/`trace`, `spans`, `version`)
-        // are additive within protocol revision 1: frames hand-built
-        // without them — as an older build would send — must decode
-        // with the documented defaults, not error.
+        // are additive: frames hand-built without them — as an older
+        // build would send — must decode with the documented defaults,
+        // not error.
         let shape_json = serde_json::to_string(&shape()).unwrap();
-        let old_job = format!(
-            "{{\"id\":7,\"shape\":{shape_json},\"kind\":\"Segment\",\
-             \"col\":1,\"batch_start\":2,\"batch_end\":5}}"
-        );
+        let old_job = format!("{{\"id\":7,\"shape\":{shape_json},\"kind\":\"Column\",\"col\":1}}");
         let job: JobMsg = read_frame(&mut frame_raw(&old_job).as_slice()).unwrap();
         assert_eq!(job.id, 7);
         assert_eq!(job.corr, 0, "missing corr decodes as untraced");
         assert!(!job.trace, "missing trace decodes as off");
 
         let old_reply = "{\"id\":7,\"ok\":false,\"error\":\"boom\",\
-                         \"sequential\":null,\"column\":null,\"segment\":null}";
+                         \"sequential\":null,\"column\":null}";
         let reply: JobReply = read_frame(&mut frame_raw(old_reply).as_slice()).unwrap();
         assert_eq!(reply.id, 7);
         assert!(reply.spans.is_empty(), "missing spans decode as empty");
@@ -411,7 +394,7 @@ mod tests {
         let old_hello = "{\"protocol\":1,\"fingerprint\":{\"backend\":\"sim\",\
                          \"gpu\":\"TITAN Xp\",\"config\":\"{}\"}}";
         let hello: Hello = read_frame(&mut frame_raw(old_hello).as_slice()).unwrap();
-        assert_eq!(hello.protocol, PROTOCOL_VERSION);
+        assert_eq!(hello.protocol, 1);
         assert!(hello.version.is_empty(), "missing version decodes empty");
     }
 

@@ -33,11 +33,11 @@
 //! bound bitwise.
 
 use crate::multigpu::MultiGpuMeasurement;
-use crate::sim::Simulator;
+use crate::sim::{add_wgrad_all_reduce, Simulator};
 use crate::topology::Topology;
-use delta_model::backend::serial_step_spans;
+use delta_model::backend::{serial_step_spans, LayerEstimate};
 use delta_model::engine::{LayerShape, TrainingRow, TrainingStepEvaluation};
-use delta_model::query::{Parallelism, StepEvaluation, StepQuery};
+use delta_model::query::{EvalQuery, Parallelism, Pass, StepEvaluation, StepQuery};
 use delta_model::schedule::{bucket_label, DeviceTimeline, Span, SpanKind, StepTimeline};
 use delta_model::{training, ConvLayer, Error};
 use rayon::prelude::*;
@@ -179,10 +179,12 @@ struct PassWorkloads {
     grad_bytes: u64,
 }
 
-/// Where a step evaluation's per-layer replays come from. The step
-/// assembly (pass expansion, shape dedup, bucketed schedule) is
-/// identical whether the replays run in-process or on a fleet of
-/// executor processes; only this source differs. Implementations must
+/// Where an evaluation's per-layer replays come from. The query
+/// assembly ([`Simulator::evaluate_with`] for one layer;
+/// [`Simulator::evaluate_step_with`] for pass expansion, shape dedup
+/// and the bucketed schedule) is identical whether the replays run
+/// in-process or on a fleet of executor processes; only this source
+/// differs. Implementations must
 /// return one result per input layer, in input order, and produce
 /// measurements bitwise identical to the local
 /// [`Simulator::run_sharded`]/`run_multi_fabric` paths — the fleet's
@@ -275,6 +277,56 @@ impl Simulator {
     /// failures.
     pub(crate) fn evaluate_step_query(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {
         self.evaluate_step_with(query, &LocalReplays(self))
+    }
+
+    /// Answers one [`EvalQuery`] with the replay source made explicit:
+    /// validation, the pass transform, the homogeneity check and the
+    /// wgrad all-reduce surcharge run here, and `replays` supplies the
+    /// one measurement — in-process ([`LocalReplays`], behind
+    /// [`Backend::evaluate`](delta_model::backend::Backend::evaluate))
+    /// or distributed across a fleet. A conforming source returns the
+    /// local measurement bitwise, so the estimate is bitwise identical
+    /// too.
+    ///
+    /// # Errors
+    ///
+    /// Propagates GPU validation, pass transform, homogeneity, and
+    /// replay-source failures.
+    pub fn evaluate_with(
+        &self,
+        query: &EvalQuery,
+        replays: &impl ReplaySource,
+    ) -> Result<LayerEstimate, Error> {
+        self.gpu().validate()?;
+        let layer = query.layer()?;
+        let replayed = Simulator::pass_workload(&layer, query.pass)?;
+        let Parallelism::Multi {
+            devices,
+            interconnect,
+            topology,
+        } = &query.parallelism
+        else {
+            let mut m = replays.measure_all(&[&replayed], &query.parallelism)?;
+            return Ok(m.remove(0).to_estimate(self.gpu()));
+        };
+        self.require_homogeneous(devices)?;
+        let g = (devices.len() as u32).max(1);
+        let mut m = replays.multi_all(&[&replayed], g, *interconnect, *topology)?;
+        let mut est = m.remove(0).to_estimate(self.gpu());
+        if query.pass == Pass::Wgrad {
+            // On top of the wgrad GEMM replay, a data-parallel step
+            // all-reduces the original layer's weight gradients once
+            // across the devices.
+            add_wgrad_all_reduce(
+                &mut est,
+                self.gpu(),
+                *interconnect,
+                *topology,
+                layer.filter_bytes() as f64,
+                g,
+            );
+        }
+        Ok(est)
     }
 
     /// The step evaluation with the replay source made

@@ -75,32 +75,6 @@ impl HierarchyStats {
         self.dram_write_bytes += other.dram_write_bytes;
         self.aged_l2_bytes += other.aged_l2_bytes;
     }
-
-    /// Field-wise `self − baseline`: the activity counted *after* the
-    /// `baseline` snapshot was taken. Row-level sharding uses this to
-    /// drop a segment's warm-up batch from its contribution — the
-    /// counters are monotonic, so the delta of a later snapshot against
-    /// an earlier one of the same hierarchy never underflows.
-    pub fn delta_since(&self, baseline: &HierarchyStats) -> HierarchyStats {
-        let sub = |a: CacheStats, b: CacheStats| CacheStats {
-            accesses: a.accesses - b.accesses,
-            sector_hits: a.sector_hits - b.sector_hits,
-            sector_misses: a.sector_misses - b.sector_misses,
-            evictions: a.evictions - b.evictions,
-        };
-        HierarchyStats {
-            reads: TrafficDelta {
-                l1_bytes: self.reads.l1_bytes - baseline.reads.l1_bytes,
-                l2_bytes: self.reads.l2_bytes - baseline.reads.l2_bytes,
-                dram_bytes: self.reads.dram_bytes - baseline.reads.dram_bytes,
-            },
-            l1: sub(self.l1, baseline.l1),
-            l2: sub(self.l2, baseline.l2),
-            l2_write_bytes: self.l2_write_bytes - baseline.l2_write_bytes,
-            dram_write_bytes: self.dram_write_bytes - baseline.dram_write_bytes,
-            aged_l2_bytes: self.aged_l2_bytes - baseline.aged_l2_bytes,
-        }
-    }
 }
 
 /// A memory hierarchy whose measured statistics can be extracted as an

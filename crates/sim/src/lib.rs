@@ -93,11 +93,8 @@ pub use dram::DramChannelModel;
 pub use hierarchy::{HierarchyStats, MemoryHierarchy, MergeableHierarchy};
 pub use interconnect::{Interconnect, InterconnectKind};
 pub use multigpu::{DevicePlan, MultiGpuMeasurement};
-pub use shard::{ColumnSegment, ShardAxis, ShardPlan};
-pub use sim::{
-    add_wgrad_all_reduce, ColumnReplay, Measurement, SegmentReplay, ShardedRun, SimConfig,
-    Simulator, Totals,
-};
+pub use shard::ShardPlan;
+pub use sim::{ColumnReplay, Measurement, ShardedRun, SimConfig, Simulator, Totals};
 pub use stages::BatchStats;
 pub use tensorcore::Datapath;
 pub use topology::{Topology, TopologyKind};

@@ -96,11 +96,8 @@ impl DevicePlan {
         &self.minibatch
     }
 
-    /// Devices that own at least one tile column under the plan's
-    /// column-axis view. The simulator's actual replay may spread a
-    /// narrow layer's tall columns over *more* devices via row-level
-    /// sharding — [`MultiGpuMeasurement::active_devices`] reports the
-    /// effective count.
+    /// Devices that own at least one tile column:
+    /// `min(devices, columns)`. The rest idle.
     pub fn active_devices(&self) -> u32 {
         self.columns
             .shards()
@@ -135,8 +132,8 @@ pub struct MultiGpuMeasurement {
     pub link_seconds: f64,
     /// Devices the plan spanned.
     pub devices: u32,
-    /// Devices that performed replay work (whole columns, or row-level
-    /// sub-ranges of a tall column when devices outnumber columns).
+    /// Devices that own at least one tile column and so performed
+    /// replay work: `min(devices, columns)`.
     pub active_devices: u32,
 }
 
@@ -214,8 +211,6 @@ impl Simulator {
     /// [`Simulator::run_multi_fabric`], split out so a fleet
     /// coordinator can distribute the replay, merge it with
     /// [`Simulator::merge_column_replays`](crate::sim::Simulator::merge_column_replays)
-    /// /
-    /// [`Simulator::merge_segment_replays`](crate::sim::Simulator::merge_segment_replays)
     /// at `n_workers = devices`, and price the result through exactly
     /// this code.
     pub fn multi_from_run(
@@ -229,11 +224,8 @@ impl Simulator {
         // Scalar preset, or topology-derived parameters when a graph is
         // named.
         let ic: Interconnect = crate::sim::fabric_of(interconnect, topology, devices);
-        // Devices that actually replayed work. With row-level sharding
-        // this can exceed the column count ([`DevicePlan::
-        // active_devices`] is the column-axis view): a narrow layer's
-        // tall columns split across devices, and each participating
-        // device refetches the IFmap halo.
+        // Devices that actually replayed work (each owns at least one
+        // column); every one beyond the first refetches the IFmap halo.
         let active = run.per_shard_cycles.iter().filter(|c| **c > 0.0).count() as u32;
         let ifmap = layer.ifmap_bytes() as f64;
         MultiGpuMeasurement {
@@ -353,9 +345,9 @@ mod tests {
 
     #[test]
     fn narrow_layer_spreads_over_more_devices_than_columns() {
-        // Co = 128 -> at most 2 tile columns, but 64 samples make the
-        // columns tall: row-level sharding hands every device a batch
-        // sub-range, so the fleet no longer idles at 2.
+        // Co = 128 -> at most 2 tile columns, however tall: devices
+        // beyond the column count idle, charge no halo, and the answer
+        // is the one-device answer.
         let l = ConvLayer::builder("narrow")
             .batch(64)
             .input(64, 14, 14)
@@ -364,23 +356,30 @@ mod tests {
             .pad(1)
             .build()
             .unwrap();
-        let s = sim(InterconnectKind::Ideal);
+        let s = sim(InterconnectKind::NvLink);
         let cols = s.tiling(&l).cta_columns();
         assert!(cols <= 2);
-        let reference = s.run_sharded(&l, 1);
+        let one = s.run_multi(&l, 1);
         let eight = s.run_multi(&l, 8);
-        assert_eq!(eight.merged, reference, "identity survives the row axis");
-        assert!(
-            eight.active_devices > cols as u32,
-            "active {} should beat the {cols}-column cap",
-            eight.active_devices
+        assert_eq!(eight.merged, s.run_sharded(&l, 1));
+        assert_eq!(eight.active_devices, cols as u32);
+        assert_eq!(
+            eight.active_devices,
+            DevicePlan::for_layer(&s, &l, 8).active_devices()
         );
         assert_eq!(
             eight.per_device_cycles.iter().filter(|c| **c > 0.0).count() as u32,
             eight.active_devices
         );
-        // More devices than (columns x simulated batches) still idle.
-        assert!(eight.max_device_cycles() < s.run_multi(&l, 1).max_device_cycles());
+        // The busy devices run exactly the per-column replays the
+        // matching column-count run does.
+        let busy = s.run_multi(&l, cols as u32);
+        assert_eq!(eight.link_bytes, busy.link_bytes);
+        assert_eq!(eight.max_device_cycles(), busy.max_device_cycles());
+        if cols == 1 {
+            assert_eq!(eight.link_bytes, 0.0);
+            assert_eq!(eight.max_device_cycles(), one.max_device_cycles());
+        }
     }
 
     #[test]

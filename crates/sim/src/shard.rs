@@ -6,11 +6,12 @@
 //! ([`crate::stages::BatchStats`]) or per-column (cache residency warms
 //! up within a column and the steady state is extrapolated per column).
 //! That makes the tile column the natural ownership unit for intra-layer
-//! parallelism: a [`ShardPlan`] assigns each worker a disjoint,
-//! contiguous range of columns, every worker replays its columns' batches
-//! against its own [`crate::hierarchy::MemoryHierarchy`], and the
-//! per-shard results merge through
-//! [`crate::hierarchy::HierarchyStats::merge`].
+//! parallelism, and it matches the analytical model, in which every
+//! tile column refetches the IFmap (paper Eq. 10). A [`ShardPlan`]
+//! assigns each worker a disjoint, contiguous range of columns, every
+//! worker replays its columns' batches against its own
+//! [`crate::hierarchy::MemoryHierarchy`], and the per-shard results
+//! merge through [`crate::hierarchy::HierarchyStats::merge`].
 //!
 //! Because each column is simulated from identical initial state no
 //! matter which worker owns it, and the merge walks columns in ascending
@@ -18,60 +19,24 @@
 //! [`crate::Measurement`] is bitwise identical for every worker count —
 //! `shards=4` reproduces `shards=1` exactly, only faster.
 //!
-//! Narrow layers (Co ≤ 128 ⇒ 1–2 tile columns) used to cap at 1–2
-//! workers under the column axis. [`ShardPlan::partition_rows`] adds a
-//! second, finer axis: the flattened per-column CTA-batch lists split
-//! into contiguous sub-ranges, so a single tall column spreads over the
-//! full worker count. Each sub-range replays cold-start privately with
-//! one warm-up batch (the batch immediately preceding the range), whose
-//! charges are discarded — per-batch traffic within a column is
-//! stationary after one batch of warm-up, so the merge reconstructs the
-//! sequential column's statistics exactly (see the probe test in
-//! [`crate::sim`]). [`ShardPlan::auto`] picks the row axis only when
-//! there are more workers than columns; otherwise the column axis is
-//! byte-for-byte the historical plan.
+//! The column is the only unit: a layer with fewer columns than workers
+//! keeps `min(workers, columns)` of them busy and leaves the rest with
+//! empty shards. Narrow layers (Co ≤ 128 ⇒ 1–2 tile columns) therefore
+//! do not speed up past their column count, and their answer is the
+//! one-worker answer by construction.
 
 use std::ops::Range;
-
-/// Which unit [`ShardPlan`] partitions over workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardAxis {
-    /// Whole tile columns (the historical axis): shard `i` owns a
-    /// contiguous column range.
-    Columns,
-    /// Flattened (column, batch) units: shard `i` owns a contiguous
-    /// range of the column-major batch list, splitting tall columns
-    /// across workers.
-    Rows,
-}
-
-/// A contiguous run of one column's CTA batches owned by a single shard
-/// under [`ShardAxis::Rows`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnSegment {
-    /// The tile column.
-    pub col: u64,
-    /// The batch sub-range `[start, end)` within the column's simulated
-    /// prefix.
-    pub batches: Range<u64>,
-}
 
 /// A balanced, disjoint, exhaustive assignment of a layer's tile columns
 /// to `n_workers` shards.
 ///
-/// Shard `i` owns the contiguous range `[i·U/N, (i+1)·U/N)` (integer
-/// arithmetic) of units — whole columns under [`ShardAxis::Columns`],
-/// flattened (column, batch) pairs under [`ShardAxis::Rows`] — so shard
-/// sizes differ by at most one unit and concatenating the shards in
-/// order re-yields `0..U`. When `n_workers > units` the surplus shards
-/// are empty.
+/// Shard `i` owns the contiguous column range `[i·C/N, (i+1)·C/N)`
+/// (integer arithmetic), so shard sizes differ by at most one column and
+/// concatenating the shards in order re-yields `0..C`. When
+/// `n_workers > columns` the surplus shards are empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     columns: u64,
-    /// Simulated batches per column (1 under the column axis, where the
-    /// unit is the whole column).
-    batches: u64,
-    axis: ShardAxis,
     shards: Vec<Range<u64>>,
 }
 
@@ -83,42 +48,7 @@ impl ShardPlan {
         let shards = (0..n)
             .map(|i| (i * columns / n)..((i + 1) * columns / n))
             .collect();
-        ShardPlan {
-            columns,
-            batches: 1,
-            axis: ShardAxis::Columns,
-            shards,
-        }
-    }
-
-    /// Partitions the column-major flattened list of `columns × batches`
-    /// CTA batches over `n_workers` workers (`n_workers = 0` is clamped
-    /// to 1). Unit `u` is batch `u % batches` of column `u / batches`.
-    pub fn partition_rows(columns: u64, batches: u64, n_workers: u32) -> ShardPlan {
-        let batches = batches.max(1);
-        let units = columns * batches;
-        let n = u64::from(n_workers.max(1));
-        let shards = (0..n)
-            .map(|i| (i * units / n)..((i + 1) * units / n))
-            .collect();
-        ShardPlan {
-            columns,
-            batches,
-            axis: ShardAxis::Rows,
-            shards,
-        }
-    }
-
-    /// Picks the partitioning axis for a layer: the historical column
-    /// axis when it already feeds every worker (`n_workers ≤ columns`),
-    /// the row axis otherwise — so narrow layers scale past their column
-    /// count.
-    pub fn auto(columns: u64, batches: u64, n_workers: u32) -> ShardPlan {
-        if u64::from(n_workers.max(1)) <= columns {
-            ShardPlan::partition(columns, n_workers)
-        } else {
-            ShardPlan::partition_rows(columns, batches, n_workers)
-        }
+        ShardPlan { columns, shards }
     }
 
     /// Number of columns partitioned.
@@ -126,61 +56,17 @@ impl ShardPlan {
         self.columns
     }
 
-    /// The partitioning axis.
-    pub fn axis(&self) -> ShardAxis {
-        self.axis
-    }
-
-    /// Simulated batches per column the plan was built for (1 under the
-    /// column axis).
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Shard `i`'s work as per-column batch segments, in ascending
-    /// (column, batch) order. Under [`ShardAxis::Columns`] each owned
-    /// column appears as one whole segment `0..batches`.
-    pub fn shard_segments(&self, shard: usize) -> Vec<ColumnSegment> {
-        let r = &self.shards[shard];
-        match self.axis {
-            ShardAxis::Columns => r
-                .clone()
-                .map(|col| ColumnSegment {
-                    col,
-                    batches: 0..self.batches,
-                })
-                .collect(),
-            ShardAxis::Rows => {
-                let mut out = Vec::new();
-                let mut u = r.start;
-                while u < r.end {
-                    let col = u / self.batches;
-                    let b0 = u % self.batches;
-                    let b1 = (self.batches).min(b0 + (r.end - u));
-                    out.push(ColumnSegment {
-                        col,
-                        batches: b0..b1,
-                    });
-                    u += b1 - b0;
-                }
-                out
-            }
-        }
-    }
-
     /// Number of shards (= workers), including empty ones.
     pub fn n_workers(&self) -> usize {
         self.shards.len()
     }
 
-    /// The per-shard unit ranges (columns or flattened batches,
-    /// depending on the axis), in ascending order.
+    /// The per-shard column ranges, in ascending order.
     pub fn shards(&self) -> &[Range<u64>] {
         &self.shards
     }
 
-    /// The shard owning `col` (column-axis plans only — under the row
-    /// axis a column may span several shards).
+    /// The shard owning `col`.
     ///
     /// # Panics
     ///
@@ -193,7 +79,7 @@ impl ShardPlan {
             .expect("contiguous ranges cover 0..columns")
     }
 
-    /// Largest shard size in units (the parallel critical path).
+    /// Largest shard size in columns (the parallel critical path).
     pub fn max_shard_len(&self) -> u64 {
         self.shards
             .iter()
@@ -263,76 +149,19 @@ mod tests {
     }
 
     #[test]
+    fn column_axis_segments_are_whole_columns() {
+        // The tile column is the only shard unit: a shard owns whole
+        // columns, never a part of one.
+        let plan = ShardPlan::partition(4, 2);
+        assert_eq!(plan.shards()[1], 2..4);
+        assert_eq!(plan.shard_of(2), 1);
+        assert_eq!(plan.shard_of(3), 1);
+        assert_eq!(plan.max_shard_len(), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "beyond")]
     fn shard_of_rejects_out_of_range() {
         ShardPlan::partition(4, 2).shard_of(4);
-    }
-
-    #[test]
-    fn row_partition_covers_every_batch_exactly_once() {
-        for (cols, batches, workers) in [(1, 7, 4), (2, 5, 8), (3, 4, 5), (1, 1, 16), (4, 6, 3)] {
-            let plan = ShardPlan::partition_rows(cols, batches, workers);
-            assert_eq!(plan.axis(), ShardAxis::Rows);
-            assert_eq!(plan.batches(), batches);
-            let mut seen: Vec<(u64, u64)> = Vec::new();
-            for s in 0..plan.n_workers() {
-                for seg in plan.shard_segments(s) {
-                    for b in seg.batches.clone() {
-                        seen.push((seg.col, b));
-                    }
-                }
-            }
-            let want: Vec<(u64, u64)> = (0..cols)
-                .flat_map(|c| (0..batches).map(move |b| (c, b)))
-                .collect();
-            assert_eq!(
-                seen, want,
-                "cols={cols} batches={batches} workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn row_segments_are_contiguous_within_a_shard() {
-        let plan = ShardPlan::partition_rows(3, 5, 4);
-        for s in 0..plan.n_workers() {
-            let segs = plan.shard_segments(s);
-            for w in segs.windows(2) {
-                // Consecutive segments either continue the same column or
-                // start the next one at batch 0.
-                assert!(
-                    w[1].col == w[0].col + 1 && w[1].batches.start == 0
-                        || w[1].col == w[0].col && w[1].batches.start == w[0].batches.end,
-                    "{w:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn auto_prefers_columns_until_workers_exceed_them() {
-        let wide = ShardPlan::auto(4, 6, 4);
-        assert_eq!(wide.axis(), ShardAxis::Columns);
-        assert_eq!(wide, ShardPlan::partition(4, 4));
-        let narrow = ShardPlan::auto(2, 6, 8);
-        assert_eq!(narrow.axis(), ShardAxis::Rows);
-        assert_eq!(narrow, ShardPlan::partition_rows(2, 6, 8));
-        // n = columns stays on the column axis.
-        assert_eq!(ShardPlan::auto(3, 9, 3).axis(), ShardAxis::Columns);
-    }
-
-    #[test]
-    fn column_axis_segments_are_whole_columns() {
-        let plan = ShardPlan::partition(4, 2);
-        let segs = plan.shard_segments(1);
-        assert_eq!(segs.len(), 2);
-        assert_eq!(
-            segs[0],
-            ColumnSegment {
-                col: 2,
-                batches: 0..1
-            }
-        );
-        assert_eq!(plan.batches(), 1);
     }
 }

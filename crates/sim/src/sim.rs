@@ -14,17 +14,18 @@
 //! .. }` disables sampling.
 
 use crate::coalesce::Transaction;
+use crate::collective::LocalReplays;
 use crate::hierarchy::{HierarchyStats, MemoryHierarchy, MergeableHierarchy};
 use crate::interconnect::{Interconnect, InterconnectKind};
 use crate::sched::ColumnScheduler;
-use crate::shard::{ColumnSegment, ShardAxis, ShardPlan};
+use crate::shard::ShardPlan;
 use crate::stages::{BatchLimits, BatchStats, CtaBatch, SteadyState};
 use crate::tensor::TensorMap;
 use crate::tensorcore::Datapath;
 use crate::timing::TimingEngine;
 use crate::topology::{Topology, TopologyKind};
 use delta_model::backend::{Backend, EstimateSource, LayerEstimate};
-use delta_model::query::{EvalQuery, Parallelism, Pass, StepEvaluation, StepQuery};
+use delta_model::query::{EvalQuery, Pass, StepEvaluation, StepQuery};
 use delta_model::tiling::{CtaTile, LayerTiling};
 use delta_model::{training, ConvLayer, Error, GpuSpec, BYTES_PER_ELEMENT};
 use delta_obs::{span, Counter};
@@ -226,12 +227,10 @@ impl Simulator {
     /// count survives the engine's parallel fan-out.
     ///
     /// The unit is one *layer* replay regardless of how the work was
-    /// partitioned internally: a row-sharded run that splits a column
-    /// into sub-ranges (each with its private warm-up batch) still
-    /// counts as exactly one replay, the same as the sequential and
-    /// column-sharded paths — the counter answers "how many times was
-    /// this layer simulated", not "how many worker tasks ran". A warm
-    /// step-cache hit performs zero replays.
+    /// partitioned internally: a sharded run over N workers counts as
+    /// exactly one replay, the same as the sequential path — the counter
+    /// answers "how many times was this layer simulated", not "how many
+    /// worker tasks ran". A warm step-cache hit performs zero replays.
     pub fn replay_count(&self) -> u64 {
         self.replays.get()
     }
@@ -257,23 +256,6 @@ impl Simulator {
     /// plus any configured tile scaling).
     pub fn tiling(&self, layer: &ConvLayer) -> LayerTiling {
         LayerTiling::with_scale(layer, self.config.tile_scale)
-    }
-
-    /// The two partitioning axes [`ShardPlan::auto`] can split `layer`
-    /// on: `(tile columns, simulated CTA batches per column)`. Their
-    /// product is the row-axis work-unit count — the true ceiling on
-    /// useful shard/device parallelism for this layer (the batch count
-    /// reflects [`SimConfig::max_batches_per_column`] sampling, exactly
-    /// as the sharded runner sees it).
-    pub fn partition_units(&self, layer: &ConvLayer) -> (u64, u64) {
-        let tiling = self.tiling(layer);
-        let sched = ColumnScheduler::new(&tiling, &self.gpu, self.active_ctas(tiling.tile()));
-        let batches = sched.batches_per_column();
-        let sim_batches = self
-            .config
-            .max_batches_per_column
-            .map_or(batches, |m| batches.min(m.max(1)));
-        (sched.columns(), sim_batches)
     }
 
     /// The effective point-to-point fabric pricing for a `devices`-wide
@@ -426,13 +408,10 @@ impl Simulator {
     /// (paper Eq. 10) and typically moves measurements by a few percent
     /// on multi-column layers; single-column layers are unaffected.
     ///
-    /// When `n_workers` exceeds the column count the plan switches to
-    /// the row axis ([`ShardPlan::auto`]): each worker replays a
-    /// contiguous sub-range of a column's CTA-batch list (preceded by
-    /// one discarded warm-up batch when the range does not start the
-    /// column), and the merge reconstructs the sequential column's
-    /// statistics and f64 accumulation order exactly — so narrow layers
-    /// scale past their column count with the identity intact.
+    /// The tile column is the only work unit, so at most
+    /// `min(n_workers, columns)` workers are busy; the rest own empty
+    /// shards. A narrow layer with fewer columns than workers therefore
+    /// runs exactly the one-worker replay.
     pub fn run_sharded(&self, layer: &ConvLayer, n_workers: u32) -> Measurement {
         self.run_sharded_detail(layer, n_workers).measurement
     }
@@ -458,30 +437,13 @@ impl Simulator {
         let active = self.active_ctas(tile);
         let map = TensorMap::new(layer);
         let sched = ColumnScheduler::new(&tiling, &self.gpu, active);
-        let batches = sched.batches_per_column();
-        let sim_batches = self
-            .config
-            .max_batches_per_column
-            .map_or(batches, |m| batches.min(m.max(1)));
-        let plan = ShardPlan::auto(sched.columns(), sim_batches, n_workers);
+        let plan = ShardPlan::partition(sched.columns(), n_workers);
 
         // The prologue is charged once per layer, as in the sequential
         // path. The charge is latency + bytes only (no compute term), so
         // it is datapath-independent by construction.
         let mut prologue = TimingEngine::new(&self.gpu, tile);
         self.charge_layer_prologue(&mut prologue, tile);
-
-        if plan.axis() == ShardAxis::Rows {
-            return self.run_row_sharded(
-                &plan,
-                &map,
-                &sched,
-                &tiling,
-                active,
-                datapath,
-                prologue.cycles(),
-            );
-        }
 
         let simulate_shard = |range: &std::ops::Range<u64>| {
             let mut out = Vec::with_capacity((range.end - range.start) as usize);
@@ -514,63 +476,6 @@ impl Simulator {
             prologue.cycles(),
             tiling.num_ctas(),
             active,
-            &shard_outcomes,
-        )
-    }
-
-    /// The row-axis sharded replay: each worker owns contiguous
-    /// sub-ranges of the columns' CTA-batch lists ([`ShardPlan::
-    /// partition_rows`]). A sub-range that does not start its column
-    /// first replays the immediately preceding batch against its fresh
-    /// hierarchy with a scratch timing engine (charges discarded) — one
-    /// batch of warm-up is enough to reproduce the sequential column's
-    /// per-batch statistics bitwise (per-batch traffic within a column
-    /// is stationary; see the probe test below). The merge then walks
-    /// columns in ascending order, folds each column's recorded cycle
-    /// charges in batch order from zero (the timing engine's charges
-    /// are pure functions of their arguments, so this reconstructs the
-    /// sequential column's f64 accumulation exactly), and runs the
-    /// steady-state batch extrapolation over the reassembled per-batch
-    /// stats — yielding a [`Measurement`] bitwise identical to the
-    /// column-axis plan's for every worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn run_row_sharded(
-        &self,
-        plan: &ShardPlan,
-        map: &TensorMap,
-        sched: &ColumnScheduler,
-        tiling: &LayerTiling,
-        active: u32,
-        datapath: Datapath,
-        prologue_cycles: f64,
-    ) -> ShardedRun {
-        let batches = sched.batches_per_column();
-
-        let simulate_shard = |shard: usize| {
-            let mut tx_buf = Vec::with_capacity(64);
-            plan.shard_segments(shard)
-                .iter()
-                .map(|seg| {
-                    self.simulate_segment(map, sched, tiling, active, datapath, seg, &mut tx_buf)
-                })
-                .collect::<Vec<SegmentReplay>>()
-        };
-        // Same nested-parallelism guard as the column axis: inside the
-        // engine's layer fan-out, walk the shards on this thread.
-        let shard_ids: Vec<usize> = (0..plan.n_workers()).collect();
-        let shard_outcomes: Vec<Vec<SegmentReplay>> = if rayon::current_thread_index().is_some() {
-            shard_ids.iter().map(|&s| simulate_shard(s)).collect()
-        } else {
-            shard_ids.par_iter().map(|&s| simulate_shard(s)).collect()
-        };
-
-        merge_segment_groups(
-            prologue_cycles,
-            tiling.num_ctas(),
-            active,
-            plan.columns(),
-            batches,
-            plan.batches(),
             &shard_outcomes,
         )
     }
@@ -614,60 +519,6 @@ impl Simulator {
         }
     }
 
-    /// Replays one [`ColumnSegment`] — a contiguous sub-range of one
-    /// column's batches — against a fresh hierarchy, warming up with the
-    /// immediately preceding batch when the range does not start the
-    /// column. The warm-up's cycle charges go to a scratch engine and
-    /// its counter activity is subtracted out via a snapshot delta, so
-    /// the segment contributes exactly the activity the sequential
-    /// replay would have counted for these batches.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_segment(
-        &self,
-        map: &TensorMap,
-        sched: &ColumnScheduler,
-        tiling: &LayerTiling,
-        active: u32,
-        datapath: Datapath,
-        seg: &ColumnSegment,
-        tx_buf: &mut Vec<Transaction>,
-    ) -> SegmentReplay {
-        let tile = tiling.tile();
-        let loops = tiling.main_loops();
-        let limits = self.batch_limits();
-        let mut hier = MemoryHierarchy::new(&self.gpu);
-        if seg.batches.start > 0 {
-            let mut scratch = TimingEngine::with_datapath(&self.gpu, tile, datapath);
-            let warm = CtaBatch::new(
-                map,
-                tile,
-                sched.batch(seg.col, seg.batches.start - 1),
-                loops,
-                active,
-            );
-            warm.simulate(&mut hier, &mut scratch, limits, tx_buf, None);
-        }
-        let warm_base = hier.snapshot();
-        let mut timing = TimingEngine::with_datapath(&self.gpu, tile, datapath);
-        let mut stats = Vec::with_capacity((seg.batches.end - seg.batches.start) as usize);
-        let mut charges = Vec::new();
-        let mut simulated_ctas = 0u64;
-        for b in seg.batches.clone() {
-            let batch = CtaBatch::new(map, tile, sched.batch(seg.col, b), loops, active);
-            simulated_ctas += batch.len();
-            stats.push(batch.simulate(&mut hier, &mut timing, limits, tx_buf, Some(&mut charges)));
-        }
-        SegmentReplay {
-            col: seg.col,
-            first_batch: seg.batches.start,
-            stats,
-            charges,
-            delta: hier.snapshot().delta_since(&warm_base),
-            simulated_ctas,
-            cycles: timing.cycles(),
-        }
-    }
-
     /// Simulates one tile column — its sampled batch prefix plus the
     /// steady-state extrapolation of the remainder — against the given
     /// hierarchy and timing state. Shared by the sequential path (shared
@@ -703,18 +554,27 @@ impl Simulator {
         for b in 0..sim_batches {
             let batch = CtaBatch::new(map, tile, sched.batch(col, b), loops, active);
             simulated_ctas += batch.len();
-            let s = batch.simulate(hier, timing, limits, tx_buf, None);
+            let s = batch.simulate(hier, timing, limits, tx_buf);
             sampled |= s.loop_extrapolated;
             stats.push(s);
         }
 
-        let (extrapolated, extra_cycles, aged) = extrapolate_batches(&stats, batches, sim_batches);
+        let mut extrapolated = Totals::default();
+        let mut extra_cycles = 0.0;
         if sim_batches < batches {
+            let steady = SteadyState::of(&stats);
+            let rem = (batches - sim_batches) as f64;
+            extrapolated.l1_bytes = steady.l1_bytes * rem;
+            extrapolated.l2_bytes = steady.l2_bytes * rem;
+            extrapolated.dram_bytes = steady.dram_bytes * rem;
+            extrapolated.store_bytes = steady.store_bytes * rem;
+            extra_cycles = steady.cycles * rem;
             // Age L2 by the skipped batches' unique-traffic volume so
             // later work against this hierarchy starts from realistic
             // residency; when the hierarchy dies with the column, only
             // the counter is kept (identical measurements, no pollution
             // work).
+            let aged = (steady.l2_bytes * rem) as u64;
             if hier_persists {
                 hier.age_l2(aged);
             } else {
@@ -747,36 +607,11 @@ pub struct ShardedRun {
     pub per_shard_cycles: Vec<f64>,
 }
 
-/// One column sub-range's replay outcome — the merge unit of the
-/// row-axis sharded path and the `segment` job result on the fleet
-/// wire. Warm-up activity is already subtracted out. Every field is
+/// One tile column's replay outcome — the merge unit of the sharded
+/// path and the `column` job result on the fleet wire. Every field is
 /// integers, flags, or f64s that the vendored JSON writer round-trips
 /// bitwise, so a part produced on a remote executor merges identically
 /// to one produced in-process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SegmentReplay {
-    /// The segment's column (primary merge key).
-    pub col: u64,
-    /// First batch of the sub-range (secondary merge key).
-    pub first_batch: u64,
-    /// Per-batch stats of the sub-range, in batch order.
-    pub stats: Vec<BatchStats>,
-    /// Every cycle charge the sub-range made, in charge order (the
-    /// column merge folds these from zero to reconstruct the sequential
-    /// accumulation).
-    pub charges: Vec<f64>,
-    /// Hierarchy counter activity of the sub-range (warm-up excluded).
-    pub delta: HierarchyStats,
-    /// CTAs actually traced (warm-up excluded).
-    pub simulated_ctas: u64,
-    /// Cycles of the sub-range's own timing engine (per-shard critical
-    /// path contribution; warm-up excluded).
-    pub cycles: f64,
-}
-
-/// One tile column's replay outcome — the merge unit of the
-/// column-axis sharded path and the `column` job result on the fleet
-/// wire. Like [`SegmentReplay`], JSON round-trips bitwise.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ColumnReplay {
     /// The column index (merge-order key).
@@ -800,7 +635,7 @@ pub struct ColumnReplay {
 /// accumulation order to the column index makes the totals bitwise
 /// identical for every worker count, every grouping, and every CI
 /// machine. The single merge implementation behind both the local
-/// column-sharded run and the fleet's distributed one.
+/// sharded run and the fleet's distributed one.
 fn merge_column_groups(
     prologue_cycles: f64,
     total_ctas: u64,
@@ -857,134 +692,9 @@ fn merge_column_groups(
     }
 }
 
-/// Merges segment replays, pre-grouped by owning shard, in ascending
-/// (column, batch) order — the flattened group list is already sorted
-/// because shards own contiguous ascending unit ranges. Folds each
-/// column's recorded cycle charges in batch order from zero (the
-/// timing engine's charges are pure functions of their arguments, so
-/// this reconstructs the sequential column's f64 accumulation exactly)
-/// and runs the steady-state batch extrapolation over the reassembled
-/// per-batch stats. The single merge implementation behind both the
-/// local row-sharded run and the fleet's distributed one.
-fn merge_segment_groups(
-    prologue_cycles: f64,
-    total_ctas: u64,
-    active: u32,
-    columns: u64,
-    batches: u64,
-    sim_batches: u64,
-    groups: &[Vec<SegmentReplay>],
-) -> ShardedRun {
-    // Per-shard critical paths: an active shard charges its own layer
-    // prologue plus the simulated work of its segments (warm-up replays
-    // are simulator overhead, not modeled GPU work, so they are not
-    // charged); an empty shard is idle.
-    let mut per_shard_cycles: Vec<f64> = groups
-        .iter()
-        .map(|segs| {
-            if segs.is_empty() {
-                0.0
-            } else {
-                prologue_cycles + segs.iter().map(|s| s.cycles).sum::<f64>()
-            }
-        })
-        .collect();
-
-    let flat: Vec<(usize, &SegmentReplay)> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(s, segs)| segs.iter().map(move |seg| (s, seg)))
-        .collect();
-    let mut hstats = HierarchyStats::default();
-    let mut measured = Totals::default();
-    let mut extrapolated = Totals::default();
-    let mut cycles = prologue_cycles;
-    let mut simulated_ctas = 0u64;
-    let mut sampled = false;
-    let mut pos = 0usize;
-    for col in 0..columns {
-        let mut col_stats: Vec<BatchStats> = Vec::with_capacity(sim_batches as usize);
-        let mut col_hs = HierarchyStats::default();
-        let mut col_cycles = 0.0;
-        let mut next_b = 0u64;
-        let mut last_shard = 0usize;
-        while pos < flat.len() && flat[pos].1.col == col {
-            let (shard, seg) = flat[pos];
-            assert_eq!(
-                seg.first_batch, next_b,
-                "row merge must walk column {col}'s batches in order"
-            );
-            next_b += seg.stats.len() as u64;
-            col_hs.merge(&seg.delta);
-            for t in &seg.charges {
-                col_cycles += t;
-            }
-            col_stats.extend_from_slice(&seg.stats);
-            simulated_ctas += seg.simulated_ctas;
-            last_shard = shard;
-            pos += 1;
-        }
-        assert_eq!(
-            next_b, sim_batches,
-            "row merge must cover column {col}'s simulated prefix exactly"
-        );
-        let (extrap, extra_cycles, aged) = extrapolate_batches(&col_stats, batches, sim_batches);
-        col_hs.aged_l2_bytes += aged;
-        sampled |= col_stats.iter().any(|s| s.loop_extrapolated) || sim_batches < batches;
-        hstats.merge(&col_hs);
-        measured.accumulate(&col_stats);
-        extrapolated.add(&extrap);
-        // Mirrors the column axis: the column's folded charges plus its
-        // extrapolated tail, then added to the running total.
-        let col_total = col_cycles + extra_cycles;
-        cycles += col_total;
-        // The extrapolated tail extends the shard that finished the
-        // column.
-        per_shard_cycles[last_shard] += extra_cycles;
-    }
-
-    ShardedRun {
-        measurement: Measurement {
-            l1_bytes: measured.l1_bytes + extrapolated.l1_bytes,
-            l2_bytes: measured.l2_bytes + extrapolated.l2_bytes,
-            dram_read_bytes: measured.dram_bytes + extrapolated.dram_bytes,
-            dram_write_bytes: hstats.dram_write_bytes as f64 + extrapolated.store_bytes,
-            l1_miss_rate: hstats.l1.miss_rate(),
-            l2_miss_rate: hstats.l2.miss_rate(),
-            cycles,
-            sampled,
-            simulated_ctas,
-            total_ctas,
-            active_ctas: active,
-        },
-        per_shard_cycles,
-    }
-}
-
-/// Steady-state extrapolation of a column's unsimulated batch tail,
-/// computed from the simulated prefix `stats`: `(per-level totals,
-/// extrapolated cycles, L2 bytes to age)`. Pure in its arguments so the
-/// sequential, column-sharded, and row-sharded paths produce bitwise
-/// identical extrapolations from identical prefixes.
-fn extrapolate_batches(stats: &[BatchStats], batches: u64, sim_batches: u64) -> (Totals, f64, u64) {
-    let mut extrapolated = Totals::default();
-    let mut extra_cycles = 0.0;
-    let mut aged = 0u64;
-    if sim_batches < batches {
-        let steady = SteadyState::of(stats);
-        let rem = (batches - sim_batches) as f64;
-        extrapolated.l1_bytes = steady.l1_bytes * rem;
-        extrapolated.l2_bytes = steady.l2_bytes * rem;
-        extrapolated.dram_bytes = steady.dram_bytes * rem;
-        extrapolated.store_bytes = steady.store_bytes * rem;
-        extra_cycles = steady.cycles * rem;
-        aged = (steady.l2_bytes * rem) as u64;
-    }
-    (extrapolated, extra_cycles, aged)
-}
-
-/// One tile column's simulation outcome — the merge unit of the sharded
-/// path and the accumulation unit of the sequential path.
+/// One tile column's simulation outcome — packaged as a
+/// [`ColumnReplay`] by the sharded path, accumulated by the sequential
+/// path.
 #[derive(Debug)]
 struct ColumnSim {
     /// The column index (merge-order key).
@@ -1061,10 +771,8 @@ pub fn all_reduce_pricing_of(
 
 /// Adds the data-parallel weight-gradient all-reduce on top of a wgrad
 /// estimate: `filter_bytes` of gradients (|∇W| = the layer's filter
-/// footprint) all-reduced once across `devices`. One code path for the
-/// local backend and the fleet coordinator, so the add-on's f64
-/// operation order is identical everywhere.
-pub fn add_wgrad_all_reduce(
+/// footprint) all-reduced once across `devices`.
+pub(crate) fn add_wgrad_all_reduce(
     est: &mut LayerEstimate,
     gpu: &GpuSpec,
     interconnect: InterconnectKind,
@@ -1129,13 +837,10 @@ impl Simulator {
     }
 
     /// The exact [`ShardPlan`] a `run_sharded(layer, n_workers)` call
-    /// uses — the unit decomposition a fleet coordinator fans out, and
-    /// the merge order it must reassemble. Built from
-    /// [`Simulator::partition_units`], so sampling
-    /// ([`SimConfig::max_batches_per_column`]) is already applied.
+    /// uses — the column decomposition a fleet coordinator fans out, and
+    /// the merge order it must reassemble.
     pub fn shard_plan(&self, layer: &ConvLayer, n_workers: u32) -> ShardPlan {
-        let (columns, sim_batches) = self.partition_units(layer);
-        ShardPlan::auto(columns, sim_batches, n_workers)
+        ShardPlan::partition(self.tiling(layer).cta_columns(), n_workers)
     }
 
     /// The one-per-layer prologue charge in cycles (what an active
@@ -1146,12 +851,12 @@ impl Simulator {
         t.cycles()
     }
 
-    /// Replays one tile column — the column-axis work unit of a
-    /// [`ShardAxis::Columns`] plan — against fresh private state and
-    /// returns the serializable merge part. This is what a fleet
-    /// executor runs for a `column` job; feeding every column of a
-    /// layer (in any grouping) to [`Simulator::merge_column_replays`]
-    /// reproduces `run_sharded` bitwise.
+    /// Replays one tile column — the work unit of a [`ShardPlan`] —
+    /// against fresh private state and returns the serializable merge
+    /// part. This is what a fleet executor runs for a `column` job;
+    /// feeding every column of a layer (in any grouping) to
+    /// [`Simulator::merge_column_replays`] reproduces `run_sharded`
+    /// bitwise.
     ///
     /// Does **not** bump [`Simulator::replay_count`]: the counter's
     /// unit is one whole-layer replay, and a unit replay is a fraction
@@ -1186,107 +891,31 @@ impl Simulator {
         Ok(self.replay_column(&map, &sched, &tiling, active, datapath, col, &mut tx_buf))
     }
 
-    /// Replays one column sub-range — the row-axis work unit of a
-    /// [`ShardAxis::Rows`] plan — and returns the serializable merge
-    /// part (warm-up already subtracted). This is what a fleet executor
-    /// runs for a `segment` job; the sub-range must be one of the
-    /// plan's own segments for [`Simulator::merge_segment_replays`] to
-    /// accept it.
-    ///
-    /// Does **not** bump [`Simulator::replay_count`] (see
-    /// [`Simulator::replay_column_unit`]).
-    ///
-    /// # Errors
-    ///
-    /// Rejects an out-of-range column, an empty batch range, and a
-    /// range extending past the column's simulated batch prefix.
-    pub fn replay_segment_unit(
-        &self,
-        layer: &ConvLayer,
-        col: u64,
-        batches: std::ops::Range<u64>,
-    ) -> Result<SegmentReplay, Error> {
-        let datapath = Datapath::select(&self.gpu, layer.kind());
-        let _span = span!(
-            "sim.replay_segment",
-            layer = layer.label(),
-            col = col,
-            batch_start = batches.start,
-            batch_end = batches.end,
-            datapath = datapath.label()
-        );
-        let tiling = self.tiling(layer);
-        let active = self.active_ctas(tiling.tile());
-        let sched = ColumnScheduler::new(&tiling, &self.gpu, active);
-        let (columns, sim_batches) = self.partition_units(layer);
-        let reject = |reason: String| Error::Fleet {
-            context: "replay".into(),
-            reason,
-        };
-        if col >= columns {
-            return Err(reject(format!(
-                "column {col} out of range: layer `{}` has {columns} tile columns",
-                layer.label()
-            )));
-        }
-        if batches.start >= batches.end {
-            return Err(reject(format!(
-                "empty batch range {}..{} for column {col}",
-                batches.start, batches.end
-            )));
-        }
-        if batches.end > sim_batches {
-            return Err(reject(format!(
-                "batch range {}..{} exceeds column {col}'s simulated prefix of {sim_batches} \
-                 batches",
-                batches.start, batches.end
-            )));
-        }
-        let map = TensorMap::new(layer);
-        let mut tx_buf = Vec::with_capacity(64);
-        let seg = ColumnSegment { col, batches };
-        Ok(self.simulate_segment(&map, &sched, &tiling, active, datapath, &seg, &mut tx_buf))
-    }
-
     /// Merges per-column replay parts — one [`ColumnReplay`] per tile
     /// column, in any order of production — into exactly the
-    /// [`ShardedRun`] that `run_sharded_detail(layer, n_workers)` under
-    /// a [`ShardAxis::Columns`] plan produces, per-shard cycles
-    /// included. The merge itself is the same code the single-process
-    /// path runs; this entry point only validates the parts first
-    /// (sorted, exhaustive, duplicate-free coverage of the column
-    /// range), so malformed remote data surfaces as an [`Error::Fleet`]
-    /// instead of a panic.
+    /// [`ShardedRun`] that `run_sharded_detail(layer, n_workers)`
+    /// produces, per-shard cycles included. The merge itself is the
+    /// same code the single-process path runs; this entry point only
+    /// validates the parts first (sorted, exhaustive, duplicate-free
+    /// coverage of the column range), so malformed remote data
+    /// surfaces as an [`Error::Fleet`] instead of a panic.
     ///
     /// # Errors
     ///
-    /// Rejects a plan that shards on the row axis (segment replays are
-    /// required then) and any part list that is not exactly columns
-    /// `0..columns` in ascending order.
+    /// Rejects any part list that is not exactly columns `0..columns`
+    /// in ascending order.
     pub fn merge_column_replays(
         &self,
         layer: &ConvLayer,
         n_workers: u32,
         parts: Vec<ColumnReplay>,
     ) -> Result<ShardedRun, Error> {
-        let _span = span!(
-            "sim.merge",
-            kind = "columns",
-            layer = layer.label(),
-            parts = parts.len()
-        );
+        let _span = span!("sim.merge", layer = layer.label(), parts = parts.len());
         let plan = self.shard_plan(layer, n_workers);
         let reject = |reason: String| Error::Fleet {
             context: "merge".into(),
             reason,
         };
-        if plan.axis() != ShardAxis::Columns {
-            return Err(reject(format!(
-                "plan for {n_workers} workers shards layer `{}` on the row axis; \
-                 merge its segment replays instead",
-                layer.label()
-            )));
-        }
         if parts.len() as u64 != plan.columns() {
             return Err(reject(format!(
                 "expected one replay per tile column ({}), got {}",
@@ -1321,86 +950,6 @@ impl Simulator {
             &groups,
         ))
     }
-
-    /// Merges per-segment replay parts — one [`SegmentReplay`] per
-    /// segment of the plan's own row-axis decomposition — into exactly
-    /// the [`ShardedRun`] that `run_sharded_detail(layer, n_workers)`
-    /// under a [`ShardAxis::Rows`] plan produces. The parts must match
-    /// the plan's segment boundaries exactly: per-shard cycle totals
-    /// fold each shard's segment list in order, and f64 addition is not
-    /// associative across different segment splits, so only the plan's
-    /// own boundaries reconstruct the single-process result bitwise.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a column-axis plan (column replays are required then)
-    /// and any part list whose `(col, batch range, length)` sequence
-    /// differs from the plan's segments in flattened shard order.
-    pub fn merge_segment_replays(
-        &self,
-        layer: &ConvLayer,
-        n_workers: u32,
-        parts: Vec<SegmentReplay>,
-    ) -> Result<ShardedRun, Error> {
-        let _span = span!(
-            "sim.merge",
-            kind = "segments",
-            layer = layer.label(),
-            parts = parts.len()
-        );
-        let plan = self.shard_plan(layer, n_workers);
-        let reject = |reason: String| Error::Fleet {
-            context: "merge".into(),
-            reason,
-        };
-        if plan.axis() != ShardAxis::Rows {
-            return Err(reject(format!(
-                "plan for {n_workers} workers shards layer `{}` on the column axis; \
-                 merge its column replays instead",
-                layer.label()
-            )));
-        }
-        let expected: Vec<(usize, ColumnSegment)> = (0..plan.n_workers())
-            .flat_map(|s| plan.shard_segments(s).into_iter().map(move |seg| (s, seg)))
-            .collect();
-        if parts.len() != expected.len() {
-            return Err(reject(format!(
-                "expected {} segment replays (the plan's own decomposition), got {}",
-                expected.len(),
-                parts.len()
-            )));
-        }
-        for (p, (_, seg)) in parts.iter().zip(&expected) {
-            let got_end = p.first_batch + p.stats.len() as u64;
-            if p.col != seg.col || p.first_batch != seg.batches.start || got_end != seg.batches.end
-            {
-                return Err(reject(format!(
-                    "segment replay (col {}, batches {}..{got_end}) does not match the \
-                     plan's segment (col {}, batches {}..{}); distributed segments must \
-                     use the plan's exact boundaries",
-                    p.col, p.first_batch, seg.col, seg.batches.start, seg.batches.end
-                )));
-            }
-        }
-        // Regroup by shard so per-shard cycles fold in the
-        // single-process order.
-        let mut it = parts.into_iter();
-        let groups: Vec<Vec<SegmentReplay>> = (0..plan.n_workers())
-            .map(|s| it.by_ref().take(plan.shard_segments(s).len()).collect())
-            .collect();
-        let tiling = self.tiling(layer);
-        let active = self.active_ctas(tiling.tile());
-        let sched = ColumnScheduler::new(&tiling, &self.gpu, active);
-        Ok(merge_segment_groups(
-            self.layer_prologue_cycles(tiling.tile()),
-            tiling.num_ctas(),
-            active,
-            plan.columns(),
-            sched.batches_per_column(),
-            plan.batches(),
-            &groups,
-        ))
-    }
 }
 
 impl Backend for Simulator {
@@ -1425,40 +974,7 @@ impl Backend for Simulator {
     }
 
     fn evaluate(&self, query: &EvalQuery) -> Result<LayerEstimate, Error> {
-        self.gpu.validate()?;
-        let layer = query.layer()?;
-        let replayed = Simulator::pass_workload(&layer, query.pass)?;
-        match &query.parallelism {
-            Parallelism::Single => Ok(self.run_sequential(&replayed).to_estimate(&self.gpu)),
-            Parallelism::Sharded { workers } => Ok(self
-                .run_sharded(&replayed, (*workers).max(1))
-                .to_estimate(&self.gpu)),
-            Parallelism::Multi {
-                devices,
-                interconnect,
-                topology,
-            } => {
-                self.require_homogeneous(devices)?;
-                let g = (devices.len() as u32).max(1);
-                let mut est = self
-                    .run_multi_fabric(&replayed, g, *interconnect, *topology)
-                    .to_estimate(&self.gpu);
-                if query.pass == Pass::Wgrad {
-                    // On top of the wgrad GEMM replay, a data-parallel
-                    // step all-reduces this layer's weight gradients
-                    // once across the devices.
-                    add_wgrad_all_reduce(
-                        &mut est,
-                        &self.gpu,
-                        *interconnect,
-                        *topology,
-                        layer.filter_bytes() as f64,
-                        g,
-                    );
-                }
-                Ok(est)
-            }
-        }
+        self.evaluate_with(query, &LocalReplays(self))
     }
 
     fn evaluate_step(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {
@@ -1512,6 +1028,7 @@ impl Totals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delta_model::query::Parallelism;
     use delta_model::traffic::{self, l1::MliMode};
 
     fn small_layer() -> ConvLayer {
@@ -1939,185 +1456,6 @@ mod tests {
         assert!((one.cycles - seq.cycles).abs() <= 1e-9 * seq.cycles);
     }
 
-    /// A narrow layer (Co = 128 ⇒ at most 2 tile columns) whose columns
-    /// are tall enough that row-level sharding engages warm-up segments.
-    fn narrow_layer() -> ConvLayer {
-        ConvLayer::builder("narrow")
-            .batch(64)
-            .input(64, 14, 14)
-            .output_channels(128)
-            .filter(3, 3)
-            .pad(1)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn narrow_layer_row_sharding_is_identical_for_every_worker_count() {
-        let l = narrow_layer();
-        let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
-        let tiling = sim.tiling(&l);
-        assert!(tiling.cta_columns() <= 2, "need a narrow layer");
-        let sched = ColumnScheduler::new(&tiling, sim.gpu(), sim.active_ctas(tiling.tile()));
-        assert!(
-            sched.batches_per_column() > 1,
-            "need tall columns so sub-ranges split"
-        );
-        let one = sim.run_sharded(&l, 1);
-        assert!(one.l1_bytes > 0.0 && one.cycles > 0.0);
-        // Bitwise-equal Measurement for every worker count, including
-        // counts far beyond the column count (the row axis).
-        for n in 2..=8 {
-            assert_eq!(sim.run_sharded(&l, n), one, "n_workers={n}");
-        }
-        // And with sampling disabled (full columns, warm-up segments in
-        // the middle of long batch lists).
-        let full = Simulator::new(GpuSpec::titan_xp(), SimConfig::exhaustive());
-        let ref_full = full.run_sharded(&l, 1);
-        for n in [3, 8] {
-            assert_eq!(full.run_sharded(&l, n), ref_full, "exhaustive n={n}");
-        }
-    }
-
-    #[test]
-    fn row_sharding_engages_more_workers_than_columns() {
-        // The plan the simulator builds for a narrow layer at n >
-        // columns is a row plan in which every worker owns work.
-        let l = narrow_layer();
-        let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
-        let (columns, sim_batches) = sim.partition_units(&l);
-        // The public helper reports exactly what the sharded runner
-        // will partition on.
-        assert_eq!(columns, sim.tiling(&l).cta_columns());
-        let plan = ShardPlan::auto(columns, sim_batches, 8);
-        assert_eq!(plan.axis(), crate::shard::ShardAxis::Rows);
-        let busy = (0..plan.n_workers())
-            .filter(|&s| !plan.shard_segments(s).is_empty())
-            .count() as u64;
-        assert_eq!(
-            busy,
-            8.min(columns * sim_batches),
-            "every worker up to the unit count owns a sub-range"
-        );
-        assert!(busy > columns, "row axis beats the column cap");
-    }
-
-    #[test]
-    fn probe_one_warmup_batch_reproduces_sequential_batch_stats() {
-        // PROBE (design gate for row-level sharding): batch b replayed
-        // against a hierarchy warmed ONLY by batch b-1 must bitwise
-        // reproduce the sequential cold-column replay's batch-b stats.
-        let tall_3x3 = ConvLayer::builder("tall")
-            .batch(64)
-            .input(16, 14, 14)
-            .output_channels(64)
-            .filter(3, 3)
-            .pad(1)
-            .build()
-            .unwrap();
-        // High K (Ci*R*S = 2304 -> hundreds of main loops) so the
-        // loop-extrapolation path (age_l2 with a shifted aging cursor)
-        // is exercised too.
-        let deep_3x3 = ConvLayer::builder("deep")
-            .batch(64)
-            .input(256, 14, 14)
-            .output_channels(64)
-            .filter(3, 3)
-            .pad(1)
-            .build()
-            .unwrap();
-        let narrow_1x1 = ConvLayer::builder("narrow1x1")
-            .batch(256)
-            .input(256, 7, 7)
-            .output_channels(128)
-            .filter(1, 1)
-            .build()
-            .unwrap();
-        for l in [&tall_3x3, &deep_3x3, &narrow_1x1] {
-            let sim = Simulator::new(
-                GpuSpec::titan_xp(),
-                SimConfig {
-                    active_ctas_override: Some(1),
-                    ..SimConfig::default()
-                },
-            );
-            let tiling = sim.tiling(l);
-            let map = TensorMap::new(l);
-            let sched = ColumnScheduler::new(&tiling, sim.gpu(), 1);
-            assert!(
-                sched.batches_per_column() >= 4,
-                "{}: need a tall column",
-                l.label()
-            );
-            let limits = BatchLimits {
-                max_loops: Some(32),
-                simulate_stores: true,
-            };
-            let run_range = |start: u64, end: u64| {
-                let mut hier = MemoryHierarchy::new(sim.gpu());
-                let mut timing = TimingEngine::new(sim.gpu(), tiling.tile());
-                let mut buf = Vec::new();
-                let mut stats = Vec::new();
-                let mut snaps = Vec::new();
-                for b in start..end {
-                    let batch = CtaBatch::new(
-                        &map,
-                        tiling.tile(),
-                        sched.batch(0, b),
-                        tiling.main_loops(),
-                        1,
-                    );
-                    stats.push(batch.simulate(&mut hier, &mut timing, limits, &mut buf, None));
-                    snaps.push(hier.snapshot());
-                }
-                (stats, snaps)
-            };
-            let (ref_stats, ref_snaps) = run_range(0, 4);
-            for b0 in 1..4u64 {
-                let (st, sn) = run_range(b0 - 1, 4);
-                for i in 1..st.len() {
-                    let want = &ref_stats[(b0 - 1) as usize + i];
-                    let got = &st[i];
-                    let tag = format!("{} b0={b0} i={i}", l.label());
-                    assert_eq!(got.traffic, want.traffic, "{tag} traffic");
-                    assert_eq!(got.store_bytes, want.store_bytes, "{tag} stores");
-                    assert!(
-                        got.cycles == want.cycles,
-                        "{tag} cycles {} vs {}",
-                        got.cycles,
-                        want.cycles
-                    );
-                }
-                // Snapshot deltas past the warm-up batch must match the
-                // sequential replay's deltas over the same batch range.
-                let dl = |a: &HierarchyStats, b: &HierarchyStats| {
-                    (
-                        a.reads.l1_bytes - b.reads.l1_bytes,
-                        a.reads.l2_bytes - b.reads.l2_bytes,
-                        a.reads.dram_bytes - b.reads.dram_bytes,
-                        a.l1.accesses - b.l1.accesses,
-                        a.l1.sector_hits - b.l1.sector_hits,
-                        a.l1.sector_misses - b.l1.sector_misses,
-                        a.l2.accesses - b.l2.accesses,
-                        a.l2.sector_hits - b.l2.sector_hits,
-                        a.l2.sector_misses - b.l2.sector_misses,
-                        a.l2_write_bytes - b.l2_write_bytes,
-                        a.dram_write_bytes - b.dram_write_bytes,
-                        a.aged_l2_bytes - b.aged_l2_bytes,
-                    )
-                };
-                // Per-batch deltas (not just the whole tail) so any
-                // segment boundary reconstructs exactly.
-                for i in 1..sn.len() {
-                    let got = dl(&sn[i], &sn[i - 1]);
-                    let j = (b0 - 1) as usize + i;
-                    let want = dl(&ref_snaps[j], &ref_snaps[j - 1]);
-                    assert_eq!(got, want, "{} b0={b0} i={i} snapshot delta", l.label());
-                }
-            }
-        }
-    }
-
     #[test]
     fn steady_state_over_merged_shard_stats_is_order_independent() {
         // The merge-order determinism contract behind the sharded path:
@@ -2202,46 +1540,61 @@ mod tests {
             .unwrap()
     }
 
+    /// A narrow layer (Co = 128 ⇒ at most 2 tile columns) whose columns
+    /// are tall: many CTA batches per column.
+    fn narrow_layer() -> ConvLayer {
+        ConvLayer::builder("narrow")
+            .batch(64)
+            .input(64, 14, 14)
+            .output_channels(128)
+            .filter(3, 3)
+            .pad(1)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn narrow_layer_row_sharding_is_identical_for_every_worker_count() {
+        let l = narrow_layer();
+        let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
+        let tiling = sim.tiling(&l);
+        assert!(tiling.cta_columns() <= 2, "need a narrow layer");
+        let sched = ColumnScheduler::new(&tiling, sim.gpu(), sim.active_ctas(tiling.tile()));
+        assert!(
+            sched.batches_per_column() > 1,
+            "need tall columns, many CTA batches (rows) each"
+        );
+        let one = sim.run_sharded(&l, 1);
+        assert!(one.l1_bytes > 0.0 && one.cycles > 0.0);
+        // Bitwise-equal Measurement for every worker count, including
+        // counts far beyond the column count (the surplus workers idle;
+        // a column's rows are never split).
+        for n in 2..=8 {
+            assert_eq!(sim.run_sharded(&l, n), one, "n_workers={n}");
+        }
+        // And with sampling disabled (full columns).
+        let full = Simulator::new(GpuSpec::titan_xp(), SimConfig::exhaustive());
+        let ref_full = full.run_sharded(&l, 1);
+        for n in [3, 8] {
+            assert_eq!(full.run_sharded(&l, n), ref_full, "exhaustive n={n}");
+        }
+    }
+
     #[test]
     fn unit_replays_merge_to_the_column_sharded_run_bitwise() {
         // The fleet contract on the column axis: replaying each column
         // as an independent unit and merging through the validated
         // public entry point reproduces run_sharded_detail exactly —
-        // Measurement AND per-shard cycles — for every worker count
-        // that stays on the column axis.
+        // Measurement AND per-shard cycles — for every worker count,
+        // including more workers than columns.
         let l = wide_layer();
         let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
-        for n in [1u32, 2, 3, 4] {
+        for n in [1u32, 2, 3, 4, 8] {
             let plan = sim.shard_plan(&l, n);
-            assert_eq!(plan.axis(), ShardAxis::Columns, "workers={n}");
             let parts: Vec<ColumnReplay> = (0..plan.columns())
                 .map(|c| sim.replay_column_unit(&l, c).unwrap())
                 .collect();
             let merged = sim.merge_column_replays(&l, n, parts).unwrap();
-            let local = sim.run_sharded_detail(&l, n);
-            assert_eq!(merged, local, "workers={n}");
-        }
-    }
-
-    #[test]
-    fn unit_replays_merge_to_the_row_sharded_run_bitwise() {
-        // The fleet contract on the row axis: replaying each plan
-        // segment as an independent unit (plan-exact boundaries) and
-        // merging reproduces run_sharded_detail exactly. Workers must
-        // exceed the column count to force the row axis.
-        let l = narrow_layer();
-        let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
-        for n in [3u32, 4, 6] {
-            let plan = sim.shard_plan(&l, n);
-            assert_eq!(plan.axis(), ShardAxis::Rows, "workers={n}");
-            let parts: Vec<SegmentReplay> = (0..plan.n_workers())
-                .flat_map(|s| plan.shard_segments(s))
-                .map(|seg| {
-                    sim.replay_segment_unit(&l, seg.col, seg.batches.clone())
-                        .unwrap()
-                })
-                .collect();
-            let merged = sim.merge_segment_replays(&l, n, parts).unwrap();
             let local = sim.run_sharded_detail(&l, n);
             assert_eq!(merged, local, "workers={n}");
         }
@@ -2258,16 +1611,6 @@ mod tests {
         let json = serde_json::to_string(&col).unwrap();
         let back: ColumnReplay = serde_json::from_str(&json).unwrap();
         assert_eq!(back, col);
-
-        let narrow = narrow_layer();
-        let plan = sim.shard_plan(&narrow, 4);
-        let seg0 = plan.shard_segments(1).remove(0);
-        let seg = sim
-            .replay_segment_unit(&narrow, seg0.col, seg0.batches)
-            .unwrap();
-        let json = serde_json::to_string(&seg).unwrap();
-        let back: SegmentReplay = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, seg);
     }
 
     #[test]
@@ -2275,14 +1618,6 @@ mod tests {
         let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
         let l = wide_layer();
         sim.replay_column_unit(&l, 0).unwrap();
-        let narrow = narrow_layer();
-        let plan = sim.shard_plan(&narrow, 4);
-        let seg = (0..plan.n_workers())
-            .flat_map(|s| plan.shard_segments(s))
-            .next()
-            .unwrap();
-        sim.replay_segment_unit(&narrow, seg.col, seg.batches)
-            .unwrap();
         assert_eq!(sim.replay_count(), 0);
         sim.run_sharded(&l, 2);
         assert_eq!(sim.replay_count(), 1);
@@ -2308,29 +1643,17 @@ mod tests {
         swapped.swap(0, 1);
         assert!(sim.merge_column_replays(&wide, 2, swapped).is_err());
 
-        // Wrong axis: a row-axis plan refuses column parts.
-        let narrow = narrow_layer();
-        let err = sim.merge_column_replays(&narrow, 8, parts).unwrap_err();
-        assert!(err.to_string().contains("row axis"), "{err}");
-
-        // Segment merge: boundaries must be plan-exact.
-        let nplan = sim.shard_plan(&narrow, 4);
-        assert_eq!(nplan.axis(), ShardAxis::Rows);
-        let mut segs: Vec<SegmentReplay> = (0..nplan.n_workers())
-            .flat_map(|s| nplan.shard_segments(s))
-            .map(|seg| {
-                sim.replay_segment_unit(&narrow, seg.col, seg.batches)
-                    .unwrap()
-            })
-            .collect();
-        segs[0].first_batch += 1;
-        let err = sim.merge_segment_replays(&narrow, 4, segs).unwrap_err();
-        assert!(err.to_string().contains("exact boundaries"), "{err}");
+        // Another layer's parts: a one-column layer refuses them.
+        let err = sim
+            .merge_column_replays(&small_layer(), 2, parts)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("one replay per tile column"),
+            "{err}"
+        );
 
         // Out-of-range unit requests are refused, not panicked on.
         assert!(sim.replay_column_unit(&wide, 1_000).is_err());
-        assert!(sim.replay_segment_unit(&narrow, 0, 5..5).is_err());
-        assert!(sim.replay_segment_unit(&narrow, 0, 0..1_000_000).is_err());
     }
 
     fn gemm_layer() -> ConvLayer {
@@ -2379,7 +1702,8 @@ mod tests {
         for n in [2, 3, 4, 7, 16] {
             assert_eq!(base, sim.run_sharded(&l, n), "workers={n}");
         }
-        // Attention replays hold the same contract on the row axis too.
+        // Attention replays hold the same contract, past their column
+        // count too.
         let attn = ConvLayer::attention("attn", 2, 64, 4, 32).unwrap();
         let abase = sim.run_sharded(&attn, 1);
         for n in [2, 5, 9] {
@@ -2397,7 +1721,6 @@ mod tests {
         let n = 4;
         let local = sim.run_sharded_detail(&l, n);
         let plan = sim.shard_plan(&l, n);
-        assert_eq!(plan.axis(), ShardAxis::Columns);
         let parts: Vec<ColumnReplay> = (0..plan.columns())
             .map(|c| sim.replay_column_unit(&l, c).unwrap())
             .collect();

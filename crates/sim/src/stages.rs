@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// Measured quantities of one simulated CTA batch.
 ///
 /// Serializable because batch stats ride inside the fleet wire types
-/// (`SegmentReplay`): every field is an integer, a flag, or an f64 that
+/// (`ColumnReplay`): every field is an integer, a flag, or an f64 that
 /// the vendored JSON writer round-trips bitwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BatchStats {
@@ -112,21 +112,12 @@ impl<'a> CtaBatch<'a> {
     ///
     /// `tx_buf` is a caller-provided scratch buffer so the per-warp
     /// transaction vector is allocated once per layer, not per warp.
-    ///
-    /// `charge_log`, when provided, records every cycle charge this
-    /// batch makes against `timing`, in charge order. The timing
-    /// engine's charges are pure functions of their arguments, so
-    /// folding a column's logs in batch order from zero reproduces that
-    /// column's `TimingEngine::cycles()` bitwise — row-level sharding
-    /// uses this to rebuild the sequential column's f64 accumulation
-    /// order from segments replayed on different workers.
     pub fn simulate(
         &self,
         hier: &mut MemoryHierarchy,
         timing: &mut TimingEngine,
         limits: BatchLimits,
         tx_buf: &mut Vec<Transaction>,
-        mut charge_log: Option<&mut Vec<f64>>,
     ) -> BatchStats {
         let mut stats = BatchStats::default();
         let mut traces = self.traces();
@@ -147,9 +138,6 @@ impl<'a> CtaBatch<'a> {
             }
             // Stage 4: convert this loop's measured traffic to cycles.
             let t = timing.charge_loop(loop_delta, self.len(), self.active_ctas);
-            if let Some(log) = charge_log.as_deref_mut() {
-                log.push(t);
-            }
             stats.cycles += t;
             stats.traffic.add(loop_delta);
             if loop_idx >= sim_loops / 2 {
@@ -165,9 +153,6 @@ impl<'a> CtaBatch<'a> {
             stats.traffic.dram_bytes += (avg_delta.2 * rem) as u64;
             stats.cycles += avg_t * rem;
             timing.add_cycles(avg_t * rem);
-            if let Some(log) = charge_log.as_deref_mut() {
-                log.push(avg_t * rem);
-            }
             // The skipped loops would have streamed this much unique data
             // through L2; age it so later batches and columns see
             // realistic residency.
@@ -177,11 +162,7 @@ impl<'a> CtaBatch<'a> {
 
         if limits.simulate_stores {
             stats.store_bytes = self.epilogue(hier, tx_buf);
-            let t = timing.charge_epilogue(stats.store_bytes);
-            if let Some(log) = charge_log {
-                log.push(t);
-            }
-            stats.cycles += t;
+            stats.cycles += timing.charge_epilogue(stats.store_bytes);
         }
         stats
     }
@@ -333,52 +314,12 @@ mod tests {
                 simulate_stores: true,
             },
             &mut buf,
-            None,
         );
         assert!(stats.traffic.l1_bytes > 0);
         assert!(stats.traffic.l1_bytes >= stats.traffic.l2_bytes);
         assert!(stats.cycles > 0.0);
         assert!(stats.store_bytes > 0);
         assert!(!stats.loop_extrapolated);
-    }
-
-    #[test]
-    fn charge_log_folds_to_the_batch_cycles_bitwise() {
-        let l = layer();
-        let gpu = GpuSpec::titan_xp();
-        let tiling = LayerTiling::new(&l);
-        let map = TensorMap::new(&l);
-        let sched = ColumnScheduler::new(&tiling, &gpu, 1);
-        let mut hier = MemoryHierarchy::new(&gpu);
-        let mut timing = TimingEngine::new(&gpu, tiling.tile());
-        let mut buf = Vec::new();
-        let mut log = Vec::new();
-        let batch = CtaBatch::new(
-            &map,
-            tiling.tile(),
-            sched.batch(0, 0),
-            tiling.main_loops(),
-            1,
-        );
-        let stats = batch.simulate(
-            &mut hier,
-            &mut timing,
-            BatchLimits {
-                max_loops: Some(4),
-                simulate_stores: true,
-            },
-            &mut buf,
-            Some(&mut log),
-        );
-        assert!(log.len() >= 3, "loops + extrapolation + epilogue");
-        let mut folded = 0.0;
-        for t in &log {
-            folded += t;
-        }
-        // Same charges folded in the same order from the same zero:
-        // bitwise equality, not approximate.
-        assert!(folded == timing.cycles(), "{folded} vs {}", timing.cycles());
-        assert!(folded == stats.cycles);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! charged at the device's tensor-core MAC rate.
 //!
 //! Everything *outside* the compute term is unchanged — addresses,
-//! coalescing, cache replay, the CTA-tile column/segment [`ShardPlan`]
+//! coalescing, cache replay, the CTA-tile column [`ShardPlan`]
 //! contract, and the exact-merge guarantees all operate on the layer's
 //! conv-shaped embedding. The datapath is a pure function of
 //! `(GpuSpec, LayerKind)`, so every worker, shard, and fleet executor

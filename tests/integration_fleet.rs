@@ -43,7 +43,7 @@ fn wide_layer() -> ConvLayer {
         .unwrap()
 }
 
-/// Few columns, many batches -> the row axis under high worker counts.
+/// Co = 128 -> at most two tile columns, many CTA batches each.
 fn narrow_layer() -> ConvLayer {
     ConvLayer::builder("narrow")
         .batch(64)
@@ -92,7 +92,7 @@ fn eval_queries_are_bitwise_identical_for_every_executor_count() {
             Pass::Fwd,
             Parallelism::Sharded { workers: 3 },
         ),
-        // More workers than the narrow layer has columns: the row axis.
+        // More workers than the narrow layer has columns.
         EvalQuery::new(
             &narrow_layer(),
             Pass::Fwd,
@@ -118,6 +118,28 @@ fn eval_queries_are_bitwise_identical_for_every_executor_count() {
             assert_eq!(&got, want, "executors={executors} query={q:?}");
         }
     }
+}
+
+#[test]
+fn a_one_column_layer_sharded_over_the_fleet_is_the_one_worker_answer() {
+    // AlexNet conv1 at batch 8 has one tile column: four fleet workers
+    // must answer exactly as one local worker does.
+    let net = delta_networks::alexnet(8).expect("builtin network");
+    let conv1 = &net.layers()[0];
+    let one = sim()
+        .evaluate(&EvalQuery::forward(
+            conv1,
+            Parallelism::Sharded { workers: 1 },
+        ))
+        .expect("local evaluate");
+    let (_handles, coordinator) = fleet(2);
+    let four = coordinator
+        .evaluate(&EvalQuery::forward(
+            conv1,
+            Parallelism::Sharded { workers: 4 },
+        ))
+        .expect("fleet evaluate");
+    assert_eq!(json(&four), json(&one));
 }
 
 #[test]
@@ -349,5 +371,5 @@ fn trace_correlation_ids_stitch_coordinator_and_executor_spans() {
 fn the_protocol_version_is_part_of_the_contract() {
     // A reminder that bumping the schema requires bumping the revision:
     // the constant is public API documented in docs/FLEET.md.
-    assert_eq!(PROTOCOL_VERSION, 1);
+    assert_eq!(PROTOCOL_VERSION, 2);
 }

@@ -4,10 +4,12 @@
 //! estimates for every worker count — the acceptance contract the CI
 //! perf gate also enforces.
 
-use delta_model::engine::Engine;
+use delta_model::engine::{Engine, LayerShape};
 use delta_model::query::{EvalQuery, Parallelism};
 use delta_model::{Backend, ConvLayer, GpuSpec};
 use delta_sim::{SimConfig, Simulator};
+use rayon::prelude::*;
+use std::collections::HashSet;
 
 fn sim() -> Simulator {
     Simulator::new(GpuSpec::titan_xp(), SimConfig::default())
@@ -48,6 +50,76 @@ fn network_estimates_identical_for_shards_1_2_4() {
             assert_eq!(a.estimate, b.estimate, "shards={n} layer {}", a.label);
         }
     }
+}
+
+#[test]
+fn alexnet_conv1_batch8_is_identical_for_every_worker_count() {
+    // One tile column, tall enough at batch 8 that default sampling
+    // extrapolates the column: more workers than columns must still
+    // answer exactly as one worker does.
+    let net = delta_networks::alexnet(8).expect("builtin network");
+    let conv1 = &net.layers()[0];
+    let s = sim();
+    assert_eq!(s.tiling(conv1).cta_columns(), 1);
+    let one = s.run_sharded(conv1, 1);
+    assert!(one.sampled);
+    for n in [2, 4, 8] {
+        assert_eq!(s.run_sharded(conv1, n), one, "conv1 n_workers={n}");
+    }
+}
+
+#[test]
+fn narrow_layers_are_identical_for_every_worker_count() {
+    let s = sim();
+    // The 1-column ResNet152 conv2 bottleneck 3x3 (64 -> 64 @ 56x56) at
+    // batch 16: tall columns, many CTA batches.
+    let conv2 = ConvLayer::builder("resnet152_conv2_3x3")
+        .batch(16)
+        .input(64, 56, 56)
+        .output_channels(64)
+        .filter(3, 3)
+        .pad(1)
+        .build()
+        .unwrap();
+    let one = s.run_sharded(&conv2, 1);
+    for n in [2, 4, 8] {
+        assert_eq!(s.run_sharded(&conv2, n), one, "conv2 n_workers={n}");
+    }
+    // Every zoo layer with fewer tile columns than workers at batch 8,
+    // and a pinned batch-32 sample (AlexNet and ResNet152; the whole
+    // zoo at batch 32 costs ~40 s here), each unique shape once, fanned
+    // over the cores.
+    let zoo = |batch| -> Vec<delta_networks::Network> {
+        let mut nets = delta_networks::paper_networks(batch).expect("builtin networks");
+        nets.push(delta_networks::gpt2s(batch).expect("builtin network"));
+        nets
+    };
+    let sample = vec![
+        delta_networks::alexnet(32).expect("builtin network"),
+        delta_networks::resnet152(32).expect("builtin network"),
+    ];
+    let mut seen = HashSet::new();
+    let mut narrow = Vec::new();
+    for net in zoo(8).into_iter().chain(sample) {
+        for l in net.layers() {
+            if s.tiling(l).cta_columns() < 8 && seen.insert(LayerShape::of(l)) {
+                let name = format!("{} {} batch {}", net.name(), l.label(), l.batch());
+                narrow.push((name, l.clone()));
+            }
+        }
+    }
+    assert!(narrow.len() > 40, "{} narrow shapes", narrow.len());
+    let identical: Vec<bool> = narrow
+        .par_iter()
+        .map(|(_, l)| s.run_sharded(l, 8) == s.run_sharded(l, 1))
+        .collect();
+    let mismatched: Vec<&String> = narrow
+        .iter()
+        .zip(identical)
+        .filter(|(_, same)| !same)
+        .map(|((name, _), _)| name)
+        .collect();
+    assert!(mismatched.is_empty(), "8 workers changed {mismatched:?}");
 }
 
 #[test]

@@ -6,7 +6,7 @@ use delta_model::tiling::LayerTiling;
 use delta_model::traffic::{self, l1::MliMode};
 use delta_model::{ConvLayer, Delta, GpuSpec};
 use delta_sim::sched::ColumnScheduler;
-use delta_sim::{ShardAxis, ShardPlan, SimConfig, Simulator};
+use delta_sim::{ShardPlan, SimConfig, Simulator};
 use proptest::prelude::*;
 
 /// A random but valid conv layer within model-scale bounds.
@@ -228,7 +228,8 @@ proptest! {
     /// shard-owned column visits exactly the CTA list the unsharded
     /// schedule visits, in the same order — for arbitrary CTA grids,
     /// occupancies, and worker counts, including `n_workers` far above
-    /// the number of columns (surplus shards are empty, never wrong).
+    /// the number of columns (surplus shards are empty, never wrong, and
+    /// exactly `min(workers, columns)` workers are busy).
     #[test]
     fn shard_plan_covers_the_batch_list_exactly_once(
         (rows, co, active, workers) in (1u32..=64, 1u32..=512, 1u32..=3, 1u32..=40)
@@ -267,49 +268,34 @@ proptest! {
             let owner = plan.shard_of(col);
             prop_assert!(plan.shards()[owner].contains(&col));
         }
+        // Busy workers saturate at the column count.
+        let busy = plan.shards().iter().filter(|r| !r.is_empty()).count() as u64;
+        prop_assert_eq!(busy, u64::from(workers).min(sched.columns()));
     }
 
-    /// The auto-selected plan is a disjoint, exhaustive, column-major
-    /// cover of the (column, batch) unit grid: concatenating every
-    /// shard's segments re-yields each column's simulated batch range
-    /// in order — for arbitrary grid shapes and worker counts,
-    /// including workers far above the unit count (surplus shards are
-    /// empty, never wrong). The axis choice keeps the historical column
-    /// partition exactly while it feeds every worker, and busy workers
-    /// saturate at the axis's unit count.
+    /// The column partition covers the unit grid (tile columns x CTA
+    /// batch rows) exactly once, in column-major order, for every worker
+    /// count including workers far above the column count: a shard owns
+    /// whole columns with all their rows, and busy workers saturate at
+    /// the column count.
     #[test]
     fn row_plan_covers_the_unit_grid_exactly_once(
         (columns, batches, workers) in (1u64..=24, 1u64..=24, 1u32..=64)
     ) {
-        let plan = ShardPlan::auto(columns, batches, workers);
-        match plan.axis() {
-            ShardAxis::Columns => prop_assert!(u64::from(workers) <= columns),
-            ShardAxis::Rows => prop_assert!(u64::from(workers) > columns),
-        }
-        // Flatten every shard's segments back to column-major units
-        // (the plan's own batch count is 1 under the column axis, where
-        // the unit is the whole column).
+        let plan = ShardPlan::partition(columns, workers);
         let mut units = Vec::new();
-        for s in 0..plan.n_workers() {
-            for seg in plan.shard_segments(s) {
-                prop_assert!(!seg.batches.is_empty(), "empty segment emitted");
-                prop_assert!(seg.batches.end <= plan.batches());
-                prop_assert!(seg.col < columns);
-                for b in seg.batches.clone() {
-                    units.push(seg.col * plan.batches() + b);
+        for shard in plan.shards() {
+            for col in shard.clone() {
+                prop_assert!(col < columns);
+                for b in 0..batches {
+                    units.push(col * batches + b);
                 }
             }
         }
-        let expected: Vec<u64> = (0..columns * plan.batches()).collect();
+        let expected: Vec<u64> = (0..columns * batches).collect();
         prop_assert_eq!(units, expected);
-        let unit_count = match plan.axis() {
-            ShardAxis::Columns => columns,
-            ShardAxis::Rows => columns * batches,
-        };
-        let busy = (0..plan.n_workers())
-            .filter(|&s| !plan.shard_segments(s).is_empty())
-            .count() as u64;
-        prop_assert_eq!(busy, u64::from(workers).min(unit_count));
+        let busy = plan.shards().iter().filter(|r| !r.is_empty()).count() as u64;
+        prop_assert_eq!(busy, u64::from(workers).min(columns));
     }
 }
 
