@@ -21,7 +21,7 @@ use crate::ctx::Ctx;
 use crate::experiments::shard_scaling::big_layers;
 use crate::table::{f3, Table};
 use delta_model::{Error, GpuSpec};
-use delta_sim::{InterconnectKind, SimConfig, Simulator};
+use delta_sim::{InterconnectKind, Simulator};
 
 /// Device counts swept by the experiment.
 pub const DEVICE_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -53,13 +53,7 @@ pub fn run(ctx: &Ctx) -> Result<Vec<Table>, Error> {
         ],
     );
     for layer in big_layers(ctx.sim_batch)? {
-        let sim = Simulator::new(
-            gpu.clone(),
-            SimConfig {
-                interconnect: InterconnectKind::Ideal,
-                ..ctx.sim_config
-            },
-        );
+        let sim = Simulator::new(gpu.clone(), ctx.sim_config);
         // The identity reference: the single-device sharded replay.
         let reference = sim.run_sharded(&layer, 1);
         let columns = sim.tiling(&layer).cta_columns();
@@ -70,7 +64,7 @@ pub fn run(ctx: &Ctx) -> Result<Vec<Table>, Error> {
         // whole trace per (kind, devices) pair.
         let runs: Vec<_> = DEVICE_COUNTS
             .iter()
-            .map(|&g| sim.run_multi(&layer, g))
+            .map(|&g| sim.run_multi(&layer, g, InterconnectKind::Ideal, None))
             .collect();
         let ifmap = layer.ifmap_bytes() as f64;
         for kind in InterconnectKind::ALL {

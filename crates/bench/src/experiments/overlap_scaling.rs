@@ -23,7 +23,7 @@ use crate::ctx::Ctx;
 use crate::table::{f3, Table};
 use delta_model::{training, Error, GpuSpec};
 use delta_sim::collective::{schedule_step, LayerPasses};
-use delta_sim::{InterconnectKind, SimConfig, Simulator, Topology, TopologyKind};
+use delta_sim::{InterconnectKind, Simulator, Topology, TopologyKind};
 
 /// Device counts swept by the experiment.
 pub const DEVICE_COUNTS: [u32; 3] = [2, 4, 8];
@@ -60,13 +60,7 @@ pub fn run(ctx: &Ctx) -> Result<Vec<Table>, Error> {
             "bounds",
         ],
     );
-    let sim = Simulator::new(
-        gpu.clone(),
-        SimConfig {
-            interconnect: InterconnectKind::Ideal,
-            ..ctx.sim_config
-        },
-    );
+    let sim = Simulator::new(gpu.clone(), ctx.sim_config);
     for &g in &DEVICE_COUNTS {
         // One fabric-independent replay per (pass, device count): record
         // the busiest device's cycles, the pass input's footprint, and
@@ -74,7 +68,7 @@ pub fn run(ctx: &Ctx) -> Result<Vec<Table>, Error> {
         let mut passes_raw = Vec::new();
         for (i, l) in net.layers().iter().enumerate() {
             let record = |layer: &delta_model::ConvLayer| {
-                let m = sim.run_multi(layer, g);
+                let m = sim.run_multi(layer, g, InterconnectKind::Ideal, None);
                 (
                     gpu.clks_to_seconds(m.max_device_cycles()),
                     layer.ifmap_bytes() as f64,
@@ -214,19 +208,12 @@ mod tests {
             .timeline;
 
         // Rebuild the same cell the experiment way.
-        let ideal = Simulator::new(
-            GpuSpec::titan_xp(),
-            SimConfig {
-                interconnect: InterconnectKind::Ideal,
-                ..ctx.sim_config
-            },
-        );
         let gpu = GpuSpec::titan_xp();
         let base = InterconnectKind::NvLink.params();
         let topo = Topology::build(TopologyKind::Ring, g);
         let fabric = topo.price(&base);
         let record = |layer: &delta_model::ConvLayer| {
-            let m = ideal.run_multi(layer, g);
+            let m = sim.run_multi(layer, g, InterconnectKind::Ideal, None);
             gpu.clks_to_seconds(m.max_device_cycles())
                 + fabric.halo_seconds(layer.ifmap_bytes() as f64, m.active_devices)
         };

@@ -94,46 +94,37 @@ fn backend_from(flags: &HashMap<String, String>) -> Result<BackendChoice, String
     }
 }
 
-fn sim_config_from(flags: &HashMap<String, String>) -> Result<SimConfig, String> {
-    let mut config = if flags.contains_key("exhaustive") {
+/// The sampling mode: `--exhaustive` or the default sampled replay.
+/// Every other simulator flag describes the query, not the simulator.
+fn sim_config_from(flags: &HashMap<String, String>) -> SimConfig {
+    if flags.contains_key("exhaustive") {
         SimConfig::exhaustive()
     } else {
         SimConfig::default()
-    };
-    if let Some(v) = flags.get("shards") {
-        let n: u32 = v
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or(format!("--shards expects a worker count >= 1, got `{v}`"))?;
-        config.shards = Some(n);
     }
-    match flags.get("interconnect") {
-        Some(v) => config.interconnect = v.parse().map_err(|e| format!("--interconnect: {e}"))?,
-        // A multi-GPU request without an explicit interconnect gets the
-        // realistic NVLink pricing; `--interconnect ideal` opts into the
-        // zero-cost identity configuration.
-        None if flags.contains_key("gpus") => config.interconnect = InterconnectKind::NvLink,
-        None => {}
-    }
-    if let Some(v) = flags.get("topology") {
-        config.topology = Some(v.parse().map_err(|e| format!("--topology: {e}"))?);
-    }
+}
+
+/// A step query over `layers` under `parallelism`, with the collective
+/// scheduler's `--bucket-mb` (default 25 MiB) and `--overlap` flags.
+fn step_query_from(
+    flags: &HashMap<String, String>,
+    layers: &[ConvLayer],
+    parallelism: Parallelism,
+) -> Result<StepQuery, String> {
+    let mut query = StepQuery::new(layers, parallelism);
     if let Some(v) = flags.get("bucket-mb") {
-        let n: u32 = v
+        query.bucket_mb = v
             .parse()
             .ok()
             .filter(|n| *n >= 1)
             .ok_or(format!("--bucket-mb expects a size in MiB >= 1, got `{v}`"))?;
-        config.bucket_mb = n;
     }
     match flags.get("overlap").map(String::as_str) {
-        None => {}
-        Some("on" | "true") => config.overlap = true,
-        Some("off" | "false") => config.overlap = false,
+        None | Some("off" | "false") => {}
+        Some("on" | "true") => query.overlap = true,
         Some(other) => return Err(format!("--overlap expects on or off, got `{other}`")),
     }
-    Ok(config)
+    Ok(query)
 }
 
 /// The collective-scheduler flags, honored by `train` and `timeline`
@@ -221,10 +212,16 @@ fn reject_sched_flags(flags: &HashMap<String, String>, command: &str) -> Result<
 }
 
 /// Tile columns are the ownership unit of both the shard and the device
-/// partition, so a worker/device count beyond a layer's column count
-/// leaves the surplus idle (narrow GEMMs, Co ≤ 128, have only one or
-/// two columns). Say so on stderr instead of silently under-using them.
-fn warn_surplus_columns(sim: &Simulator, layers: &[ConvLayer], n: u32, flag: &str, unit: &str) {
+/// partition, so a worker (`--shards`) or device (`--gpus`) count beyond
+/// a layer's column count leaves the surplus idle (narrow GEMMs,
+/// Co ≤ 128, have only one or two columns). Say so on stderr instead of
+/// silently under-using them.
+fn warn_surplus_units(sim: &Simulator, layers: &[ConvLayer], parallelism: &Parallelism) {
+    let (n, flag, unit) = match parallelism {
+        Parallelism::Single => return,
+        Parallelism::Sharded { workers } => (*workers, "shards", "workers"),
+        Parallelism::Multi { devices, .. } => (devices.len() as u32, "gpus", "devices"),
+    };
     let columns: Vec<u64> = layers.iter().map(|l| sim.tiling(l).cta_columns()).collect();
     let short = columns.iter().filter(|c| u64::from(n) > **c).count();
     if short == 0 {
@@ -236,19 +233,6 @@ fn warn_surplus_columns(sim: &Simulator, layers: &[ConvLayer], n: u32, flag: &st
          (narrowest has {min}); surplus {unit} idle there and results are unchanged",
         columns.len()
     );
-}
-
-/// Satellite of the multi-GPU seam, mirroring [`warn_surplus_shards`].
-fn warn_surplus_gpus(sim: &Simulator, layers: &[ConvLayer], gpus: u32) {
-    warn_surplus_columns(sim, layers, gpus, "gpus", "devices");
-}
-
-/// Satellite of the sharding seam (`--shards N` beyond the narrowest
-/// layer's columns).
-fn warn_surplus_shards(sim: &Simulator, layers: &[ConvLayer]) {
-    if let Some(n) = sim.config().shards {
-        warn_surplus_columns(sim, layers, n, "shards", "workers");
-    }
 }
 
 /// Wraps an engine run with the optional `--cache-file` persistence:
@@ -367,20 +351,43 @@ fn cmd_layer(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// The execution configuration the sim backend's flags describe:
 /// `--gpus G` wins (a homogeneous G-device fleet priced by the
-/// configured interconnect/topology), then `--shards N`, then the
-/// sequential single-device replay.
-fn parallelism_from(gpu: &GpuSpec, gpus: Option<u32>, config: &SimConfig) -> Parallelism {
-    match gpus {
-        Some(g) => Parallelism::Multi {
+/// `--interconnect`/`--topology` fabric), then `--shards N`, then the
+/// sequential single-device replay. A multi-GPU request without an
+/// explicit interconnect gets the realistic NVLink pricing;
+/// `--interconnect ideal` opts into the zero-cost identity
+/// configuration.
+fn parallelism_from(
+    flags: &HashMap<String, String>,
+    gpu: &GpuSpec,
+    gpus: Option<u32>,
+) -> Result<Parallelism, String> {
+    let shards = flags
+        .get("shards")
+        .map(|v| {
+            v.parse()
+                .ok()
+                .filter(|n| *n >= 1)
+                .ok_or(format!("--shards expects a worker count >= 1, got `{v}`"))
+        })
+        .transpose()?;
+    let interconnect = match flags.get("interconnect") {
+        Some(v) => v.parse().map_err(|e| format!("--interconnect: {e}"))?,
+        None if flags.contains_key("gpus") => InterconnectKind::NvLink,
+        None => InterconnectKind::Ideal,
+    };
+    let topology = flags
+        .get("topology")
+        .map(|v| v.parse().map_err(|e| format!("--topology: {e}")))
+        .transpose()?;
+    Ok(match (gpus, shards) {
+        (Some(g), _) => Parallelism::Multi {
             devices: vec![gpu.clone(); g.max(1) as usize],
-            interconnect: config.interconnect,
-            topology: config.topology,
+            interconnect,
+            topology,
         },
-        None => match config.shards {
-            Some(n) => Parallelism::Sharded { workers: n },
-            None => Parallelism::Single,
-        },
-    }
+        (None, Some(n)) => Parallelism::Sharded { workers: n },
+        (None, None) => Parallelism::Single,
+    })
 }
 
 /// Shared engine-driven network evaluation used by `network` for both
@@ -428,13 +435,9 @@ fn cmd_network(name: &str, flags: &HashMap<String, String>) -> Result<(), String
             })
         }
         BackendChoice::Sim => {
-            let config = sim_config_from(flags)?;
-            let sim = Simulator::new(gpu.clone(), config);
-            warn_surplus_shards(&sim, net.layers());
-            if let Some(g) = gpus {
-                warn_surplus_gpus(&sim, net.layers(), g);
-            }
-            let par = parallelism_from(&gpu, gpus, &config);
+            let par = parallelism_from(flags, &gpu, gpus)?;
+            let sim = Simulator::new(gpu, sim_config_from(flags));
+            warn_surplus_units(&sim, net.layers(), &par);
             let engine = Engine::new(sim);
             with_cache_file(&engine, flags, |e| print_network_eval(e, &net, json, &par))
         }
@@ -451,9 +454,13 @@ fn cmd_sim(flags: &HashMap<String, String>) -> Result<(), String> {
         // otherwise.
         layer = layer.with_batch(8).map_err(|e| e.to_string())?;
     }
-    let sim = Simulator::new(gpu.clone(), sim_config_from(flags)?);
-    warn_surplus_shards(&sim, std::slice::from_ref(&layer));
-    let m = sim.run(&layer);
+    let par = parallelism_from(flags, &gpu, None)?;
+    let sim = Simulator::new(gpu.clone(), sim_config_from(flags));
+    warn_surplus_units(&sim, std::slice::from_ref(&layer), &par);
+    let m = match par {
+        Parallelism::Sharded { workers } => sim.run_sharded(&layer, workers),
+        _ => sim.run(&layer),
+    };
     let est = Delta::new(gpu)
         .estimate_traffic(&layer)
         .map_err(|e| e.to_string())?;
@@ -513,7 +520,16 @@ fn scaled_simulator(
 fn cmd_scaling(flags: &HashMap<String, String>) -> Result<(), String> {
     let base = gpu_from(flags)?;
     let backend = backend_from(flags)?;
-    reject_shards_on_model(flags, backend)?;
+    // The design-space sweep replays every option sequentially on one
+    // device; a worker count would change nothing, so reject it on
+    // either backend instead of silently ignoring it.
+    if flags.contains_key("shards") {
+        return Err(
+            "--shards is not supported by `scaling` (the design-space sweep replays \
+             each layer sequentially on one device)"
+                .into(),
+        );
+    }
     reject_multi_gpu(flags, "scaling")?;
     reject_sched_flags(flags, "scaling")?;
     let batch = batch_from(flags, backend, 256)?;
@@ -533,7 +549,7 @@ fn cmd_scaling(flags: &HashMap<String, String>) -> Result<(), String> {
             (t0, points)
         }
         BackendChoice::Sim => {
-            let config = sim_config_from(flags)?;
+            let config = sim_config_from(flags);
             let t0 = Engine::new(Simulator::new(base.clone(), config))
                 .evaluate_network(net.layers(), &Parallelism::Single)
                 .map_err(|e| e.to_string())?
@@ -592,23 +608,15 @@ fn cmd_train(name: &str, flags: &HashMap<String, String>) -> Result<(), String> 
             (eval, false)
         }
         BackendChoice::Sim => {
-            let config = sim_config_from(flags)?;
-            let sim = Simulator::new(gpu.clone(), config);
-            warn_surplus_shards(&sim, net.layers());
-            if let Some(g) = gpus {
-                warn_surplus_gpus(&sim, net.layers(), g);
-            }
-            let query = StepQuery {
-                layers: net.layers().to_vec(),
-                parallelism: parallelism_from(&gpu, gpus, &config),
-                bucket_mb: config.bucket_mb,
-                overlap: config.overlap,
-            };
+            let par = parallelism_from(flags, &gpu, gpus)?;
+            let query = step_query_from(flags, net.layers(), par)?;
+            let sim = Simulator::new(gpu.clone(), sim_config_from(flags));
+            warn_surplus_units(&sim, net.layers(), &query.parallelism);
             let engine = Engine::new(sim);
             let eval = with_cache_file(&engine, flags, |e| {
                 e.evaluate_step(&query).map_err(|e| e.to_string())
             })?;
-            (eval, config.overlap)
+            (eval, query.overlap)
         }
     };
     let timeline = show_timeline.then_some(&eval.timeline);
@@ -685,24 +693,13 @@ fn cmd_timeline(name: &str, flags: &HashMap<String, String>) -> Result<(), Strin
                 .timeline
         }
         BackendChoice::Sim => {
-            let config = sim_config_from(flags)?;
-            let sim = Simulator::new(gpu.clone(), config);
-            if let Some(g) = gpus {
-                warn_surplus_gpus(&sim, net.layers(), g);
-            }
             // `timeline` always schedules a device fleet (one device
             // without --gpus), so the spans reflect the per-device
             // critical path even when nothing crosses a link.
-            let query = StepQuery {
-                layers: net.layers().to_vec(),
-                parallelism: Parallelism::Multi {
-                    devices: vec![gpu.clone(); gpus.unwrap_or(1).max(1) as usize],
-                    interconnect: config.interconnect,
-                    topology: config.topology,
-                },
-                bucket_mb: config.bucket_mb,
-                overlap: config.overlap,
-            };
+            let par = parallelism_from(flags, &gpu, Some(gpus.unwrap_or(1)))?;
+            let query = step_query_from(flags, net.layers(), par)?;
+            let sim = Simulator::new(gpu, sim_config_from(flags));
+            warn_surplus_units(&sim, net.layers(), &query.parallelism);
             Engine::new(sim)
                 .evaluate_step(&query)
                 .map_err(|e| e.to_string())?
@@ -777,14 +774,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let config = serve_config_from(flags)?;
     match backend {
         BackendChoice::Model => delta_serve::run(Delta::new(gpu), config),
-        BackendChoice::Sim => {
-            let sim_config = if flags.contains_key("exhaustive") {
-                SimConfig::exhaustive()
-            } else {
-                SimConfig::default()
-            };
-            delta_serve::run(Simulator::new(gpu, sim_config), config)
-        }
+        BackendChoice::Sim => delta_serve::run(Simulator::new(gpu, sim_config_from(flags)), config),
     }
     .map_err(|e| format!("serve: {e}"))
 }
@@ -814,17 +804,12 @@ fn cmd_executor(flags: &HashMap<String, String>) -> Result<(), String> {
             ));
         }
     }
-    let sim_config = if flags.contains_key("exhaustive") {
-        SimConfig::exhaustive()
-    } else {
-        SimConfig::default()
-    };
     let addr = flags
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7979".to_string());
     delta_fleet::executor::run(
-        Simulator::new(gpu, sim_config),
+        Simulator::new(gpu, sim_config_from(flags)),
         delta_fleet::ExecutorConfig::new(addr),
     )
     .map_err(|e| format!("executor: {e}"))
@@ -880,17 +865,13 @@ fn cmd_fleet_run(name: &str, flags: &HashMap<String, String>) -> Result<(), Stri
     if flags.contains_key("backend") && flags.get("backend").map(String::as_str) != Some("sim") {
         return Err("fleet-run is sim-only: executors replay the trace-driven simulator".into());
     }
-    let config = sim_config_from(flags)?;
     let gpus = multi_gpu_from(flags, BackendChoice::Sim)?;
+    let par = parallelism_from(flags, &gpu, gpus)?;
     let batch = batch_from(flags, BackendChoice::Sim, 256)?;
     let net = find_network(name, batch)?;
     let json = flags.contains_key("json");
-    let sim = Simulator::new(gpu.clone(), config);
-    warn_surplus_shards(&sim, net.layers());
-    if let Some(g) = gpus {
-        warn_surplus_gpus(&sim, net.layers(), g);
-    }
-    let par = parallelism_from(&gpu, gpus, &config);
+    let sim = Simulator::new(gpu, sim_config_from(flags));
+    warn_surplus_units(&sim, net.layers(), &par);
     let (handles, executors) = fleet_members(flags, &sim)?;
     let coordinator =
         delta_fleet::Coordinator::connect(sim, delta_fleet::FleetConfig::new(executors))
@@ -999,7 +980,7 @@ fn usage() -> String {
      --cache-file F]\n  \
      timeline <alexnet|vgg16|googlenet|resnet152|gpt2s> [--backend model|sim --batch N --gpu G\n           \
      --gpus G --interconnect I --topology T --bucket-mb M --overlap on|off --json]\n  \
-     scaling  [--backend model|sim --batch N --gpu G --shards N]\n  \
+     scaling  [--backend model|sim --batch N --gpu G]\n  \
      serve    [--addr A --backend model|sim --gpu G --threads N --cache-file F --exhaustive]\n  \
      executor [--addr A --gpu G --exhaustive]\n  \
      fleet-run <alexnet|vgg16|googlenet|resnet152|gpt2s> (--executors host:port,... | --local-executors N)\n           \
@@ -1148,6 +1129,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delta_sim::TopologyKind;
 
     fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
         pairs
@@ -1321,19 +1303,38 @@ mod tests {
         cmd_network("alexnet", &flags(&[("backend", "sim"), ("batch", "2")])).unwrap();
     }
 
+    /// The parallelism the sim flags `pairs` describe, with `gpus` as
+    /// [`multi_gpu_from`] would return it.
+    fn par(pairs: &[(&str, &str)], gpus: Option<u32>) -> Result<Parallelism, String> {
+        parallelism_from(&flags(pairs), &GpuSpec::titan_xp(), gpus)
+    }
+
+    /// The fabric the flags `pairs` put into a device-fleet query.
+    fn fabric(pairs: &[(&str, &str)]) -> Result<(InterconnectKind, Option<TopologyKind>), String> {
+        match par(pairs, Some(1))? {
+            Parallelism::Multi {
+                interconnect,
+                topology,
+                ..
+            } => Ok((interconnect, topology)),
+            other => panic!("not a device fleet: {other:?}"),
+        }
+    }
+
     #[test]
     fn shards_flag_parses_and_validates() {
-        assert_eq!(sim_config_from(&flags(&[])).unwrap().shards, None);
+        assert_eq!(par(&[], None).unwrap(), Parallelism::Single);
         assert_eq!(
-            sim_config_from(&flags(&[("shards", "4")])).unwrap().shards,
-            Some(4)
+            par(&[("shards", "4")], None).unwrap(),
+            Parallelism::Sharded { workers: 4 }
         );
-        // --exhaustive and --shards compose.
-        let cfg = sim_config_from(&flags(&[("shards", "2"), ("exhaustive", "true")])).unwrap();
-        assert_eq!(cfg.shards, Some(2));
-        assert_eq!(cfg.max_batches_per_column, None);
+        // --exhaustive and --shards compose: one picks the sampling, the
+        // other the query's parallelism.
+        let f = [("shards", "2"), ("exhaustive", "true")];
+        assert_eq!(par(&f, None).unwrap(), Parallelism::Sharded { workers: 2 });
+        assert_eq!(sim_config_from(&flags(&f)), SimConfig::exhaustive());
         for bad in ["0", "-1", "x"] {
-            let err = sim_config_from(&flags(&[("shards", bad)])).unwrap_err();
+            let err = par(&[("shards", bad)], None).unwrap_err();
             assert!(err.contains("--shards"), "{err}");
         }
     }
@@ -1354,7 +1355,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--backend sim"), "{err}");
-        // On the sim backend it flows through to the config.
+        // On the sim backend it flows through to the query.
         cmd_network(
             "alexnet",
             &flags(&[("backend", "sim"), ("batch", "2"), ("shards", "2")]),
@@ -1416,18 +1417,24 @@ mod tests {
     }
 
     #[test]
-    fn interconnect_flag_flows_into_sim_config() {
-        use delta_sim::InterconnectKind;
-        // Without --gpus the library default (ideal) stands.
-        assert_eq!(
-            sim_config_from(&flags(&[])).unwrap().interconnect,
-            InterconnectKind::Ideal
-        );
+    fn scaling_rejects_shards() {
+        // The design-space sweep replays sequentially on one device, so
+        // a worker count is refused on either backend, not ignored.
+        for backend in ["sim", "model"] {
+            let err = cmd_scaling(&flags(&[("backend", backend), ("shards", "4")])).unwrap_err();
+            assert!(err.contains("--shards") && err.contains("scaling"), "{err}");
+        }
+    }
+
+    #[test]
+    fn interconnect_flag_flows_into_the_parallelism() {
+        let gpu = GpuSpec::titan_xp();
+        // Without --gpus (timeline's one-device fleet) the library
+        // default (ideal) stands.
+        assert_eq!(fabric(&[]).unwrap().0, InterconnectKind::Ideal);
         // With --gpus but no explicit choice, realistic NVLink pricing.
         assert_eq!(
-            sim_config_from(&flags(&[("gpus", "4")]))
-                .unwrap()
-                .interconnect,
+            fabric(&[("gpus", "4")]).unwrap().0,
             InterconnectKind::NvLink
         );
         for (name, kind) in [
@@ -1436,13 +1443,15 @@ mod tests {
             ("pcie", InterconnectKind::Pcie),
         ] {
             assert_eq!(
-                sim_config_from(&flags(&[("gpus", "2"), ("interconnect", name)]))
-                    .unwrap()
-                    .interconnect,
-                kind
+                par(&[("gpus", "2"), ("interconnect", name)], Some(2)).unwrap(),
+                Parallelism::Multi {
+                    devices: vec![gpu.clone(); 2],
+                    interconnect: kind,
+                    topology: None,
+                }
             );
         }
-        let err = sim_config_from(&flags(&[("interconnect", "ethernet")])).unwrap_err();
+        let err = fabric(&[("interconnect", "ethernet")]).unwrap_err();
         assert!(err.contains("ethernet") && err.contains("nvlink"), "{err}");
     }
 
@@ -1484,37 +1493,33 @@ mod tests {
 
     #[test]
     fn topology_bucket_and_overlap_flags_parse_and_validate() {
-        use delta_sim::TopologyKind;
+        let step =
+            |pairs: &[(&str, &str)]| step_query_from(&flags(pairs), &[], Parallelism::Single);
         // Defaults: legacy scalar pricing, 25 MiB buckets, overlap off.
-        let cfg = sim_config_from(&flags(&[])).unwrap();
-        assert_eq!(cfg.topology, None);
-        assert_eq!(cfg.bucket_mb, 25);
-        assert!(!cfg.overlap);
+        assert_eq!(fabric(&[]).unwrap().1, None);
+        let q = step(&[]).unwrap();
+        assert_eq!(q.bucket_mb, 25);
+        assert!(!q.overlap);
         for (name, kind) in [
             ("ring", TopologyKind::Ring),
             ("switch", TopologyKind::Switch),
             ("mesh", TopologyKind::Mesh),
             ("hierarchical", TopologyKind::Hierarchical),
         ] {
-            let cfg = sim_config_from(&flags(&[("gpus", "4"), ("topology", name)])).unwrap();
-            assert_eq!(cfg.topology, Some(kind));
+            assert_eq!(
+                fabric(&[("gpus", "4"), ("topology", name)]).unwrap().1,
+                Some(kind)
+            );
         }
-        let cfg = sim_config_from(&flags(&[("bucket-mb", "4"), ("overlap", "on")])).unwrap();
-        assert_eq!(cfg.bucket_mb, 4);
-        assert!(cfg.overlap);
-        assert!(
-            !sim_config_from(&flags(&[("overlap", "off")]))
-                .unwrap()
-                .overlap
-        );
+        let q = step(&[("bucket-mb", "4"), ("overlap", "on")]).unwrap();
+        assert_eq!(q.bucket_mb, 4);
+        assert!(q.overlap);
+        assert!(!step(&[("overlap", "off")]).unwrap().overlap);
         // Malformed values are rejected, not silently dropped.
-        for (k, v) in [
-            ("topology", "torus"),
-            ("bucket-mb", "0"),
-            ("bucket-mb", "x"),
-            ("overlap", "maybe"),
-        ] {
-            let err = sim_config_from(&flags(&[(k, v)])).unwrap_err();
+        let err = fabric(&[("topology", "torus")]).unwrap_err();
+        assert!(err.contains("--topology"), "{err}");
+        for (k, v) in [("bucket-mb", "0"), ("bucket-mb", "x"), ("overlap", "maybe")] {
+            let err = step(&[(k, v)]).unwrap_err();
             assert!(err.contains(&format!("--{k}")), "{err}");
         }
         // --topology needs --gpus and the sim backend.

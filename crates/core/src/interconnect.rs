@@ -29,9 +29,8 @@ use std::str::FromStr;
 
 /// Which interconnect preset a multi-device evaluation charges
 /// cross-device traffic through. This is the serializable configuration
-/// knob carried by [`crate::query::Parallelism::Multi`] (and mirrored by
-/// the simulator's `SimConfig`); [`InterconnectKind::params`] expands it
-/// to the numeric model.
+/// knob carried by [`crate::query::Parallelism::Multi`];
+/// [`InterconnectKind::params`] expands it to the numeric model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InterconnectKind {
     /// Zero-cost, zero-traffic interconnect: multi-GPU results are

@@ -375,7 +375,7 @@ fn answer(sim: &Simulator, job: &JobMsg) -> JobReply {
     let mut reply = JobReply::success(job.id);
     let outcome = match job.kind {
         JobKind::Sequential => {
-            reply.sequential = Some(sim.run_sequential(&layer));
+            reply.sequential = Some(sim.run(&layer));
             Ok(())
         }
         JobKind::Column => sim.replay_column_unit(&layer, job.col).map(|part| {

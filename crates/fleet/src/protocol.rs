@@ -93,7 +93,7 @@ pub struct HelloReply {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobKind {
     /// Whole-layer sequential replay
-    /// ([`Simulator::run_sequential`](delta_sim::Simulator::run_sequential)):
+    /// ([`Simulator::run`](delta_sim::Simulator::run)):
     /// the `Parallelism::Single` job. `col` is ignored.
     Sequential,
     /// One tile column

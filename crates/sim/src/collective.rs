@@ -187,7 +187,7 @@ struct PassWorkloads {
 /// differs. Implementations must
 /// return one result per input layer, in input order, and produce
 /// measurements bitwise identical to the local
-/// [`Simulator::run_sharded`]/`run_multi_fabric` paths — the fleet's
+/// [`Simulator::run_sharded`]/[`Simulator::run_multi`] paths — the fleet's
 /// merge contract.
 pub trait ReplaySource {
     /// Measures every layer under `Single`/`Sharded` parallelism.
@@ -233,7 +233,7 @@ impl ReplaySource for LocalReplays<'_> {
     ) -> Result<Vec<crate::Measurement>, Error> {
         let run_one = |l: &ConvLayer| match parallelism {
             Parallelism::Sharded { workers } => self.0.run_sharded(l, (*workers).max(1)),
-            _ => self.0.run_sequential(l),
+            _ => self.0.run(l),
         };
         Ok(layers.par_iter().map(|l| run_one(l)).collect())
     }
@@ -247,7 +247,7 @@ impl ReplaySource for LocalReplays<'_> {
     ) -> Result<Vec<MultiGpuMeasurement>, Error> {
         Ok(layers
             .par_iter()
-            .map(|l| self.0.run_multi_fabric(l, devices, interconnect, topology))
+            .map(|l| self.0.run_multi(l, devices, interconnect, topology))
             .collect())
     }
 }

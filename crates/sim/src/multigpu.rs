@@ -21,9 +21,10 @@
 //! divergence and can be validated in isolation — the same
 //! testing-by-identity trick the shard layer used.
 
-use crate::interconnect::Interconnect;
+use crate::interconnect::{Interconnect, InterconnectKind};
 use crate::shard::ShardPlan;
 use crate::sim::{Measurement, Simulator};
+use crate::topology::TopologyKind;
 use delta_model::backend::LayerEstimate;
 use delta_model::{ConvLayer, GpuSpec};
 use std::ops::Range;
@@ -171,8 +172,10 @@ impl MultiGpuMeasurement {
 impl Simulator {
     /// Runs `layer` partitioned across `devices` GPUs ([`DevicePlan`]),
     /// each replaying its tile-column range against private hierarchies,
-    /// and charges cross-device halo traffic through the configured
-    /// interconnect ([`crate::SimConfig::interconnect`]).
+    /// and charges cross-device halo traffic through the named fabric —
+    /// the primitive behind query-driven evaluation, where
+    /// [`Parallelism::Multi`](delta_model::query::Parallelism) carries
+    /// the interconnect and topology.
     ///
     /// The merged measurement inherits the shard layer's contract: it is
     /// **bitwise identical for every device count** (and equal to
@@ -180,26 +183,12 @@ impl Simulator {
     /// `link_bytes`/`link_seconds` and the per-device critical paths
     /// vary with `devices` — and under the `ideal` interconnect the link
     /// charges are exactly zero.
-    pub fn run_multi(&self, layer: &ConvLayer, devices: u32) -> MultiGpuMeasurement {
-        self.run_multi_fabric(
-            layer,
-            devices,
-            self.config().interconnect,
-            self.config().topology,
-        )
-    }
-
-    /// [`Simulator::run_multi`] with the fabric named explicitly instead
-    /// of read from [`crate::SimConfig`] — the primitive behind
-    /// query-driven evaluation, where
-    /// [`Parallelism::Multi`](delta_model::query::Parallelism) carries
-    /// its own interconnect and topology.
-    pub fn run_multi_fabric(
+    pub fn run_multi(
         &self,
         layer: &ConvLayer,
         devices: u32,
-        interconnect: crate::interconnect::InterconnectKind,
-        topology: Option<crate::topology::TopologyKind>,
+        interconnect: InterconnectKind,
+        topology: Option<TopologyKind>,
     ) -> MultiGpuMeasurement {
         let plan = DevicePlan::for_layer(self, layer, devices);
         let run = self.run_sharded_detail(layer, plan.devices());
@@ -208,7 +197,7 @@ impl Simulator {
 
     /// Prices an already-merged G-shard [`ShardedRun`](crate::sim::ShardedRun)
     /// as a `devices`-wide multi-GPU measurement — the fabric half of
-    /// [`Simulator::run_multi_fabric`], split out so a fleet
+    /// [`Simulator::run_multi`], split out so a fleet
     /// coordinator can distribute the replay, merge it with
     /// [`Simulator::merge_column_replays`](crate::sim::Simulator::merge_column_replays)
     /// at `n_workers = devices`, and price the result through exactly
@@ -218,8 +207,8 @@ impl Simulator {
         layer: &ConvLayer,
         run: crate::sim::ShardedRun,
         devices: u32,
-        interconnect: crate::interconnect::InterconnectKind,
-        topology: Option<crate::topology::TopologyKind>,
+        interconnect: InterconnectKind,
+        topology: Option<TopologyKind>,
     ) -> MultiGpuMeasurement {
         // Scalar preset, or topology-derived parameters when a graph is
         // named.
@@ -242,7 +231,6 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interconnect::InterconnectKind;
     use crate::SimConfig;
 
     fn wide_layer() -> ConvLayer {
@@ -257,14 +245,8 @@ mod tests {
             .unwrap()
     }
 
-    fn sim(kind: InterconnectKind) -> Simulator {
-        Simulator::new(
-            GpuSpec::titan_xp(),
-            SimConfig {
-                interconnect: kind,
-                ..SimConfig::default()
-            },
-        )
+    fn sim() -> Simulator {
+        Simulator::new(GpuSpec::titan_xp(), SimConfig::default())
     }
 
     #[test]
@@ -309,10 +291,10 @@ mod tests {
     #[test]
     fn ideal_multi_gpu_is_bitwise_identical_to_sharded() {
         let l = wide_layer();
-        let s = sim(InterconnectKind::Ideal);
+        let s = sim();
         let reference = s.run_sharded(&l, 1);
         for g in [1, 2, 4, 8] {
-            let m = s.run_multi(&l, g);
+            let m = s.run_multi(&l, g, InterconnectKind::Ideal, None);
             assert_eq!(m.merged, reference, "devices={g}");
             assert_eq!(m.link_bytes, 0.0, "devices={g}");
             assert_eq!(m.link_seconds, 0.0, "devices={g}");
@@ -323,15 +305,15 @@ mod tests {
     #[test]
     fn per_device_cycles_shrink_with_more_devices() {
         let l = wide_layer();
-        let s = sim(InterconnectKind::Ideal);
-        let one = s.run_multi(&l, 1);
-        let four = s.run_multi(&l, 4);
+        let s = sim();
+        let one = s.run_multi(&l, 1, InterconnectKind::Ideal, None);
+        let four = s.run_multi(&l, 4, InterconnectKind::Ideal, None);
         assert!(four.max_device_cycles() < one.max_device_cycles());
         // Total column work is conserved (each device re-charges only
         // the prologue).
         assert!(four.step_seconds(s.gpu()) < one.step_seconds(s.gpu()));
         // Idle devices report zero cycles.
-        let eight = s.run_multi(&l, 8);
+        let eight = s.run_multi(&l, 8, InterconnectKind::Ideal, None);
         assert_eq!(eight.active_devices, 4);
         assert_eq!(
             eight
@@ -356,11 +338,11 @@ mod tests {
             .pad(1)
             .build()
             .unwrap();
-        let s = sim(InterconnectKind::NvLink);
+        let s = sim();
         let cols = s.tiling(&l).cta_columns();
         assert!(cols <= 2);
-        let one = s.run_multi(&l, 1);
-        let eight = s.run_multi(&l, 8);
+        let one = s.run_multi(&l, 1, InterconnectKind::NvLink, None);
+        let eight = s.run_multi(&l, 8, InterconnectKind::NvLink, None);
         assert_eq!(eight.merged, s.run_sharded(&l, 1));
         assert_eq!(eight.active_devices, cols as u32);
         assert_eq!(
@@ -373,7 +355,7 @@ mod tests {
         );
         // The busy devices run exactly the per-column replays the
         // matching column-count run does.
-        let busy = s.run_multi(&l, cols as u32);
+        let busy = s.run_multi(&l, cols as u32, InterconnectKind::NvLink, None);
         assert_eq!(eight.link_bytes, busy.link_bytes);
         assert_eq!(eight.max_device_cycles(), busy.max_device_cycles());
         if cols == 1 {
@@ -385,9 +367,9 @@ mod tests {
     #[test]
     fn nonideal_interconnect_charges_halo_traffic() {
         let l = wide_layer();
-        let ideal = sim(InterconnectKind::Ideal).run_multi(&l, 4);
+        let ideal = sim().run_multi(&l, 4, InterconnectKind::Ideal, None);
         for kind in [InterconnectKind::NvLink, InterconnectKind::Pcie] {
-            let m = sim(kind).run_multi(&l, 4);
+            let m = sim().run_multi(&l, 4, kind, None);
             assert_eq!(m.merged, ideal.merged, "{kind}: merge must not change");
             assert!(m.link_bytes > 0.0, "{kind}");
             assert!(m.link_seconds > 0.0, "{kind}");
@@ -395,7 +377,7 @@ mod tests {
             let expected = kind.params().effective_bytes(3.0 * l.ifmap_bytes() as f64);
             assert!((m.link_bytes - expected).abs() < 1e-9, "{kind}");
             // Single device: nothing crosses links even on slow fabrics.
-            let single = sim(kind).run_multi(&l, 1);
+            let single = sim().run_multi(&l, 1, kind, None);
             assert_eq!(single.link_bytes, 0.0, "{kind}");
             assert_eq!(single.link_seconds, 0.0, "{kind}");
         }
@@ -405,12 +387,12 @@ mod tests {
     fn estimate_folds_link_charges_on_top_of_merged() {
         let l = wide_layer();
         let gpu = GpuSpec::titan_xp();
-        let ideal = sim(InterconnectKind::Ideal).run_multi(&l, 4);
+        let ideal = sim().run_multi(&l, 4, InterconnectKind::Ideal, None);
         let ideal_est = ideal.to_estimate(&gpu);
         assert_eq!(ideal_est.link_bytes, 0.0);
         assert_eq!(ideal_est, ideal.merged.to_estimate(&gpu), "zero-cost");
 
-        let nv = sim(InterconnectKind::NvLink).run_multi(&l, 4);
+        let nv = sim().run_multi(&l, 4, InterconnectKind::NvLink, None);
         let nv_est = nv.to_estimate(&gpu);
         assert_eq!(nv_est.link_bytes, nv.link_bytes);
         assert!(nv_est.seconds > ideal_est.seconds);

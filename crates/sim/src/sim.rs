@@ -32,8 +32,13 @@ use delta_obs::{span, Counter};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Simulation controls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The sampling knobs: how much of a layer the simulator traces and
+/// how it extrapolates the rest. Every field is part of
+/// [`Backend::config_fingerprint`] (the struct's own JSON), so the cache
+/// files, `/healthz` and the fleet handshake all key on exactly these.
+/// Execution axes — parallelism, fabric, bucket size, overlap — belong
+/// in the query ([`EvalQuery`], [`StepQuery`]), never here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SimConfig {
     /// Simulate at most this many CTA batches per tile column and
     /// extrapolate the rest from the steady state; `None` simulates every
@@ -53,70 +58,7 @@ pub struct SimConfig {
     /// mirroring `DeltaOptions::tile_scale` so the design-space study's
     /// 256-wide-tile options (Fig. 16a, 7–9) can be simulated too.
     /// `None`/1 keeps the Fig. 6 lookup.
-    #[serde(default = "default_tile_scale")]
     pub tile_scale: Option<u32>,
-    /// Partition the layer's tile columns over this many workers and
-    /// simulate them in parallel ([`Simulator::run_sharded`]); the merged
-    /// result is bitwise identical for every worker count. `None` keeps
-    /// the sequential replay in which cache residency persists across
-    /// tile columns.
-    #[serde(default = "default_shards")]
-    pub shards: Option<u32>,
-    /// Which interconnect the direct multi-GPU convenience
-    /// ([`Simulator::run_multi`]) charges cross-device traffic through.
-    /// Query-driven evaluations carry their own interconnect
-    /// (`Parallelism::Multi`); the CLI copies its `--interconnect` flag
-    /// into both. [`InterconnectKind::Ideal`] (the default) charges
-    /// nothing, making a G-device run bitwise identical to the
-    /// single-device sharded run; single-device simulation ignores the
-    /// field entirely.
-    #[serde(default = "default_interconnect")]
-    pub interconnect: InterconnectKind,
-    /// Explicit interconnect topology graph
-    /// ([`crate::topology::Topology`]): hop counts and contention
-    /// *derive* the effective byte multiplier and bandwidth from the
-    /// base fabric's per-hop parameters. `None` (the default) keeps the
-    /// legacy scalar preset pricing — bitwise identical to the PR-3
-    /// interconnect model.
-    #[serde(default = "default_topology")]
-    pub topology: Option<TopologyKind>,
-    /// Gradient bucket size in MiB the CLI copies into its
-    /// [`StepQuery`]s (the collective scheduler itself reads the query,
-    /// not this field): backward-pass gradients pack into buckets of
-    /// this size and each bucket all-reduces as one transfer. The
-    /// default (25 MiB) mirrors DDP-style framework defaults.
-    #[serde(default = "default_bucket_mb")]
-    pub bucket_mb: u32,
-    /// Overlap each gradient bucket's all-reduce with the remaining
-    /// backward compute in scheduled step estimates. `false` (the
-    /// default) keeps the serial schedule: all communication after all
-    /// compute.
-    #[serde(default = "default_overlap")]
-    pub overlap: bool,
-}
-
-fn default_tile_scale() -> Option<u32> {
-    None
-}
-
-fn default_shards() -> Option<u32> {
-    None
-}
-
-fn default_interconnect() -> InterconnectKind {
-    InterconnectKind::Ideal
-}
-
-fn default_topology() -> Option<TopologyKind> {
-    None
-}
-
-fn default_bucket_mb() -> u32 {
-    25
-}
-
-fn default_overlap() -> bool {
-    false
 }
 
 impl Default for SimConfig {
@@ -127,11 +69,6 @@ impl Default for SimConfig {
             simulate_stores: true,
             max_loops_per_batch: Some(32),
             tile_scale: None,
-            shards: None,
-            interconnect: InterconnectKind::Ideal,
-            topology: None,
-            bucket_mb: 25,
-            overlap: false,
         }
     }
 }
@@ -258,30 +195,6 @@ impl Simulator {
         LayerTiling::with_scale(layer, self.config.tile_scale)
     }
 
-    /// The effective point-to-point fabric pricing for a `devices`-wide
-    /// run under this simulator's configured interconnect/topology: the
-    /// legacy scalar preset when [`SimConfig::topology`] is `None`
-    /// (bitwise identical to PR 3), otherwise the parameters derived
-    /// from the topology graph built for `devices`
-    /// ([`Topology::price`]). Query-driven evaluations use
-    /// [`fabric_of`] with the query's own kinds instead.
-    pub fn fabric(&self, devices: u32) -> Interconnect {
-        fabric_of(self.config.interconnect, self.config.topology, devices)
-    }
-
-    /// All-reduce pricing of `payload` logical bytes across `devices`
-    /// under this simulator's configured interconnect/topology:
-    /// `(link bytes, seconds)`. Query-driven evaluations use
-    /// [`all_reduce_pricing_of`] with the query's own kinds instead.
-    pub fn all_reduce_pricing(&self, payload: f64, devices: u32) -> (f64, f64) {
-        all_reduce_pricing_of(
-            self.config.interconnect,
-            self.config.topology,
-            payload,
-            devices,
-        )
-    }
-
     /// The occupancy (active CTAs per SM) the schedule will use for
     /// `tile`.
     fn active_ctas(&self, tile: CtaTile) -> u32 {
@@ -310,24 +223,13 @@ impl Simulator {
     }
 
     /// Runs `layer` through the memory hierarchy and returns the measured
-    /// traffic and cycles. Dispatches on [`SimConfig::shards`]: `None`
-    /// replays every tile column sequentially against one shared
-    /// hierarchy; `Some(n)` fans the columns over `n` workers via
-    /// [`Simulator::run_sharded`].
+    /// traffic and cycles: the sequential replay, one hierarchy with the
+    /// columns drained in order and cache residency persisting from each
+    /// tile column to the next. A fleet executor answers a
+    /// `Parallelism::Single` job with exactly this measurement (residency
+    /// makes its columns non-distributable, so it is one indivisible
+    /// work unit).
     pub fn run(&self, layer: &ConvLayer) -> Measurement {
-        match self.config.shards {
-            Some(n) => self.run_sharded(layer, n),
-            None => self.run_sequential(layer),
-        }
-    }
-
-    /// The sequential replay: one hierarchy, columns drained in order,
-    /// cache residency persisting from each tile column to the next.
-    /// Public so a fleet executor can answer a `Parallelism::Single`
-    /// job with exactly the measurement the local path produces (the
-    /// sequential replay is one indivisible work unit — residency makes
-    /// its columns non-distributable).
-    pub fn run_sequential(&self, layer: &ConvLayer) -> Measurement {
         let datapath = Datapath::select(&self.gpu, layer.kind());
         let _span = span!(
             "sim.replay",
@@ -401,8 +303,8 @@ impl Simulator {
     /// is therefore **bitwise identical for every worker count** —
     /// `run_sharded(layer, 4) == run_sharded(layer, 1)` exactly.
     ///
-    /// The sharded semantics differ from [`SimConfig::shards`]` = None`
-    /// in one deliberate way: cache residency does not persist across
+    /// The sharded semantics differ from [`Simulator::run`] in one
+    /// deliberate way: cache residency does not persist across
     /// tile columns (each column is an independent replay domain). That
     /// matches the analytical model's per-column IFmap refetch assumption
     /// (paper Eq. 10) and typically moves measurements by a few percent
@@ -711,21 +613,6 @@ struct ColumnSim {
     extra_cycles: f64,
 }
 
-/// The serializable sampling fingerprint behind
-/// [`Backend::config_fingerprint`]: only the knobs a query does *not*
-/// carry. The parallelism axes (`shards`, `interconnect`, `topology`)
-/// and the schedule knobs (`bucket_mb`, `overlap`) are encoded in every
-/// query key, so cache files written under different values of those
-/// need no refusal — their entries simply never match.
-#[derive(Debug, Serialize)]
-struct SamplingFingerprint {
-    max_batches_per_column: Option<u64>,
-    active_ctas_override: Option<u32>,
-    simulate_stores: bool,
-    max_loops_per_batch: Option<u64>,
-    tile_scale: Option<u32>,
-}
-
 /// The effective point-to-point fabric for a `devices`-wide run: the
 /// scalar preset when `topology` is `None` (bitwise identical to PR 3),
 /// otherwise the parameters derived from the topology graph
@@ -962,15 +849,7 @@ impl Backend for Simulator {
     }
 
     fn config_fingerprint(&self) -> String {
-        let c = &self.config;
-        serde_json::to_string(&SamplingFingerprint {
-            max_batches_per_column: c.max_batches_per_column,
-            active_ctas_override: c.active_ctas_override,
-            simulate_stores: c.simulate_stores,
-            max_loops_per_batch: c.max_loops_per_batch,
-            tile_scale: c.tile_scale,
-        })
-        .unwrap_or_default()
+        serde_json::to_string(&self.config).unwrap_or_default()
     }
 
     fn evaluate(&self, query: &EvalQuery) -> Result<LayerEstimate, Error> {
@@ -1300,62 +1179,51 @@ mod tests {
     }
 
     #[test]
-    fn old_sim_config_json_without_tile_scale_still_parses() {
-        // The fields were added with serde defaults so archived configs
-        // keep deserializing.
-        let json = "{\"max_batches_per_column\":4,\"active_ctas_override\":null,\
-                    \"simulate_stores\":true,\"max_loops_per_batch\":32}";
-        let cfg: SimConfig = serde_json::from_str(json).unwrap();
-        assert_eq!(cfg.tile_scale, None);
-        assert_eq!(cfg.shards, None);
-        assert_eq!(cfg.interconnect, InterconnectKind::Ideal);
-        assert_eq!(cfg.topology, None);
-        assert_eq!(cfg.bucket_mb, 25);
-        assert!(!cfg.overlap);
-        assert_eq!(cfg.max_batches_per_column, Some(4));
+    fn config_fingerprint_bytes_are_pinned() {
+        // These bytes head every cache file and go into `/healthz` and
+        // every fleet handshake: a change here orphans every saved cache
+        // and splits fleets of mixed builds.
+        let fp = |config| Simulator::new(GpuSpec::titan_xp(), config).config_fingerprint();
+        assert_eq!(
+            fp(SimConfig::default()),
+            "{\"max_batches_per_column\":4,\"active_ctas_override\":null,\
+             \"simulate_stores\":true,\"max_loops_per_batch\":32,\"tile_scale\":null}"
+        );
+        assert_eq!(
+            fp(SimConfig::exhaustive()),
+            "{\"max_batches_per_column\":null,\"active_ctas_override\":null,\
+             \"simulate_stores\":true,\"max_loops_per_batch\":null,\"tile_scale\":null}"
+        );
+        assert_eq!(
+            fp(SimConfig {
+                tile_scale: Some(2),
+                ..SimConfig::default()
+            }),
+            "{\"max_batches_per_column\":4,\"active_ctas_override\":null,\
+             \"simulate_stores\":true,\"max_loops_per_batch\":32,\"tile_scale\":2}"
+        );
     }
 
     #[test]
     fn fabric_and_all_reduce_dispatch_on_the_topology() {
-        let gpu = GpuSpec::titan_xp();
+        use InterconnectKind::{Ideal, NvLink};
         // topology = None: the legacy scalar preset, verbatim.
-        let legacy = Simulator::new(
-            gpu.clone(),
-            SimConfig {
-                interconnect: InterconnectKind::NvLink,
-                ..SimConfig::default()
-            },
-        );
-        assert_eq!(legacy.fabric(4), InterconnectKind::NvLink.params());
-        let ic = InterconnectKind::NvLink.params();
+        assert_eq!(fabric_of(NvLink, None, 4), NvLink.params());
+        let ic = NvLink.params();
         assert_eq!(
-            legacy.all_reduce_pricing(1e6, 4),
+            all_reduce_pricing_of(NvLink, None, 1e6, 4),
             (ic.all_reduce_bytes(1e6, 4), ic.all_reduce_seconds(1e6, 4))
         );
         // topology = Some: parameters derived from the graph.
-        let topo = Simulator::new(
-            gpu,
-            SimConfig {
-                interconnect: InterconnectKind::NvLink,
-                topology: Some(TopologyKind::Switch),
-                ..SimConfig::default()
-            },
-        );
-        let fab = topo.fabric(4);
+        let fab = fabric_of(NvLink, Some(TopologyKind::Switch), 4);
         assert_eq!(fab.topology_factor, 2.0, "star: every pair is 2 hops");
-        let (bytes, secs) = topo.all_reduce_pricing(1e6, 4);
+        let (bytes, secs) = all_reduce_pricing_of(NvLink, Some(TopologyKind::Switch), 1e6, 4);
         assert!(bytes > ic.all_reduce_bytes(1e6, 4), "tree crosses the hub");
         assert!(secs > 0.0);
         // Ideal stays free under every topology.
-        let ideal_topo = Simulator::new(
-            GpuSpec::titan_xp(),
-            SimConfig {
-                topology: Some(TopologyKind::Hierarchical),
-                ..SimConfig::default()
-            },
-        );
-        assert_eq!(ideal_topo.all_reduce_pricing(1e9, 8), (0.0, 0.0));
-        assert_eq!(ideal_topo.fabric(8), InterconnectKind::Ideal.params());
+        let hier = Some(TopologyKind::Hierarchical);
+        assert_eq!(all_reduce_pricing_of(Ideal, hier, 1e9, 8), (0.0, 0.0));
+        assert_eq!(fabric_of(Ideal, hier, 8), Ideal.params());
     }
 
     /// A layer with four tile columns (Co = 512, LARGE tile blkN = 128)
@@ -1382,30 +1250,6 @@ mod tests {
         for n in [2, 3, 4, 7, 16] {
             assert_eq!(sim.run_sharded(&l, n), one, "n_workers={n}");
         }
-    }
-
-    #[test]
-    fn config_shards_selects_the_sharded_path() {
-        let l = four_column_layer();
-        let gpu = GpuSpec::titan_xp();
-        let explicit = Simulator::new(gpu.clone(), SimConfig::default()).run_sharded(&l, 2);
-        let via_config = Simulator::new(
-            gpu.clone(),
-            SimConfig {
-                shards: Some(2),
-                ..SimConfig::default()
-            },
-        )
-        .run(&l);
-        assert_eq!(via_config, explicit);
-        // And the query entry point agrees with both.
-        let sim = Simulator::new(gpu, SimConfig::default());
-        let est = sim
-            .evaluate(&EvalQuery::forward(&l, Parallelism::Sharded { workers: 2 }))
-            .unwrap();
-        assert_eq!(est.l1_bytes, explicit.l1_bytes);
-        assert_eq!(est.cycles, explicit.cycles);
-        assert_eq!(est.source, EstimateSource::Simulation);
     }
 
     #[test]

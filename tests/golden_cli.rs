@@ -9,6 +9,13 @@
 //! command must still produce byte-identical output. A diff here means
 //! the compatibility contract broke, not that the goldens need
 //! refreshing.
+//!
+//! The `sim --shards`, `timeline --gpus` and `network --gpus
+//! --interconnect --topology` goldens were captured while those flags
+//! still travelled through `SimConfig`. They pin that parsing the flags
+//! straight into the query changed no byte. VGG16 at batch 2 has four
+//! layers with non-zero `link_bytes`, so the last two exercise link
+//! pricing.
 
 use std::process::Command;
 
@@ -86,5 +93,61 @@ fn train_alexnet_multi_gpu_overlap_bytes_unchanged() {
     assert_eq!(
         got,
         golden("cli_train_alexnet_sim_gpus2_ring_overlap_b2.txt")
+    );
+}
+
+#[test]
+fn sim_sharded_layer_bytes_unchanged() {
+    let got = run(&[
+        "sim", "--ci", "64", "--hw", "14", "--co", "512", "--shards", "2",
+    ]);
+    assert_eq!(got, golden("cli_sim_ci64_hw14_co512_shards2.txt"));
+}
+
+#[test]
+fn timeline_vgg16_switch_overlap_bytes_unchanged() {
+    let got = run(&[
+        "timeline",
+        "vgg16",
+        "--backend",
+        "sim",
+        "--batch",
+        "2",
+        "--gpus",
+        "4",
+        "--topology",
+        "switch",
+        "--bucket-mb",
+        "4",
+        "--overlap",
+        "on",
+        "--json",
+    ]);
+    assert_eq!(
+        got,
+        golden("cli_timeline_vgg16_sim_gpus4_switch_overlap_b2.json")
+    );
+}
+
+#[test]
+fn network_vgg16_pcie_hierarchical_bytes_unchanged() {
+    let got = run(&[
+        "network",
+        "vgg16",
+        "--backend",
+        "sim",
+        "--batch",
+        "2",
+        "--gpus",
+        "4",
+        "--interconnect",
+        "pcie",
+        "--topology",
+        "hierarchical",
+        "--json",
+    ]);
+    assert_eq!(
+        got,
+        golden("cli_network_vgg16_sim_gpus4_pcie_hierarchical_b2.json")
     );
 }

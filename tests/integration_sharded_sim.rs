@@ -133,25 +133,17 @@ fn wide_layer_identical_across_worker_counts_via_backend() {
 }
 
 #[test]
-fn engine_sharded_queries_match_backend_and_config_dispatch() {
+fn engine_sharded_queries_match_backend_and_run_sharded() {
     let l = wide_layer();
     let engine = Engine::new(sim());
     let via_engine = engine.evaluate(&sharded(&l, 4)).unwrap();
     let direct = engine.backend().evaluate(&sharded(&l, 4)).unwrap();
     assert_eq!(via_engine, direct);
-    // And the config-selected dispatch (`SimConfig::shards`, the direct
-    // `Simulator::run` convenience) agrees with the query.
-    let via_config = Simulator::new(
-        GpuSpec::titan_xp(),
-        SimConfig {
-            shards: Some(4),
-            ..SimConfig::default()
-        },
-    )
-    .run(&l);
-    assert_eq!(via_config.cycles, direct.cycles);
-    assert_eq!(via_config.l1_bytes, direct.l1_bytes);
-    assert_eq!(via_config.dram_write_bytes, direct.dram_write_bytes);
+    // And the direct `Simulator::run_sharded` call agrees with the query.
+    let explicit = sim().run_sharded(&l, 4);
+    assert_eq!(explicit.cycles, direct.cycles);
+    assert_eq!(explicit.l1_bytes, direct.l1_bytes);
+    assert_eq!(explicit.dram_write_bytes, direct.dram_write_bytes);
 }
 
 #[test]
