@@ -1,13 +1,16 @@
 //! Criterion benchmarks of the measurement substrate: trace generation,
-//! coalescing, cache access, L2 aging, and end-to-end layer simulation
-//! throughput.
+//! coalescing, cache access, L2 aging, one CTA batch through every
+//! stage, the epilogue, and end-to-end layer simulation throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use delta_model::tiling::CtaTile;
 use delta_model::{ConvLayer, GpuSpec};
 use delta_sim::cache::SectoredCache;
 use delta_sim::coalesce::{self, Transaction};
+use delta_sim::sched::ColumnScheduler;
+use delta_sim::stages::{BatchLimits, CtaBatch};
 use delta_sim::tensor::TensorMap;
+use delta_sim::timing::TimingEngine;
 use delta_sim::trace::CtaTrace;
 use delta_sim::{MemoryHierarchy, SimConfig, Simulator};
 use std::hint::black_box;
@@ -88,6 +91,55 @@ fn bench_l2_aging(c: &mut Criterion) {
     group.finish();
 }
 
+/// A layer whose first tile column is one nearly full TITAN Xp batch:
+/// M = 6272 rows make 49 CTAs (the batch holds 60), N = 128 one column.
+fn batch_layer() -> ConvLayer {
+    ConvLayer::builder("sim-bench-batch")
+        .batch(8)
+        .input(64, 28, 28)
+        .output_channels(128)
+        .filter(3, 3)
+        .pad(1)
+        .build()
+        .expect("valid layer")
+}
+
+fn bench_cta_batch(c: &mut Criterion) {
+    let layer = batch_layer();
+    let gpu = GpuSpec::titan_xp();
+    let sim = Simulator::new(gpu.clone(), SimConfig::default());
+    let tiling = sim.tiling(&layer);
+    let map = TensorMap::new(&layer);
+    let active = tiling.tile().active_ctas_per_sm(&gpu);
+    let sched = ColumnScheduler::new(&tiling, &gpu, active);
+    let batch = CtaBatch::new(
+        &map,
+        tiling.tile(),
+        sched.batch(0, 0),
+        tiling.main_loops(),
+        active,
+    );
+    let mut group = c.benchmark_group("sim/cta_batch");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(batch.len()));
+    // Eight main loops through trace, coalesce, hierarchy and timing,
+    // then the loop extrapolation and the epilogue, on a warm hierarchy.
+    group.bench_function("simulate_8_loops", |b| {
+        let mut hier = MemoryHierarchy::new(&gpu);
+        let mut timing = TimingEngine::new(&gpu, tiling.tile());
+        let mut tx_buf = Vec::with_capacity(64);
+        let limits = BatchLimits {
+            max_loops: Some(8),
+            simulate_stores: true,
+        };
+        b.iter(|| batch.simulate(&mut hier, &mut timing, limits, &mut tx_buf))
+    });
+    group.bench_function("epilogue", |b| {
+        b.iter(|| black_box(&batch).epilogue_bytes())
+    });
+    group.finish();
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let layer = small_layer();
     let mut group = c.benchmark_group("sim/end_to_end");
@@ -104,6 +156,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_trace_generation, bench_coalescer, bench_cache, bench_l2_aging,
-        bench_end_to_end
+        bench_cta_batch, bench_end_to_end
 );
 criterion_main!(benches);

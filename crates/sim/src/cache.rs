@@ -64,6 +64,8 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
     sets: usize,
+    /// Lemire's fastmod multiplier for `sets` (see [`SectoredCache::set_of`]).
+    set_magic: u64,
     ways: usize,
     /// Line tag per (set, way); `u64::MAX` = invalid.
     tags: Vec<u64>,
@@ -89,8 +91,15 @@ impl SectoredCache {
             "cache of {capacity_bytes} B cannot hold a {ways}-way set"
         );
         let sets = (lines / ways).max(1);
+        assert!(
+            u32::try_from(sets).is_ok(),
+            "cache of {capacity_bytes} B has more than 2^32 sets"
+        );
         SectoredCache {
             sets,
+            // ⌊(2^64 − 1) / sets⌋ + 1, which wraps to 0 for one set (and
+            // then every line maps to set 0, as it must).
+            set_magic: (u64::MAX / sets as u64).wrapping_add(1),
             ways,
             tags: vec![u64::MAX; sets * ways],
             sector_valid: vec![0; sets * ways],
@@ -120,6 +129,23 @@ impl SectoredCache {
         self.stats
     }
 
+    /// The set `line` maps to: `line % sets`.
+    ///
+    /// Every real tensor line fits in 32 bits, and for those the 64-bit
+    /// division is replaced by Lemire's fastmod (exact for a 32-bit
+    /// dividend and divisor): two multiplications by the precomputed
+    /// `set_magic`. Larger lines, i.e. the L2 aging's pollution lines
+    /// at 2^40 and up, take the plain `%`.
+    #[inline]
+    pub(crate) fn set_of(&self, line: u64) -> usize {
+        if line <= u64::from(u32::MAX) {
+            let low = self.set_magic.wrapping_mul(line);
+            ((u128::from(low) * self.sets as u128) >> 64) as usize
+        } else {
+            (line % self.sets as u64) as usize
+        }
+    }
+
     /// Resets contents and statistics.
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
@@ -136,8 +162,7 @@ impl SectoredCache {
         debug_assert!(sector_mask != 0, "empty access");
         self.tick += 1;
         self.stats.accesses += 1;
-        let set = (line % self.sets as u64) as usize;
-        let base = set * self.ways;
+        let base = self.set_of(line) * self.ways;
 
         // Hit path: line resident, fill any missing sectors.
         for w in 0..self.ways {
@@ -175,8 +200,7 @@ impl SectoredCache {
     /// through this cache).
     pub fn pollute(&mut self, line: u64, sector_mask: u8) {
         self.tick += 1;
-        let set = (line % self.sets as u64) as usize;
-        let base = set * self.ways;
+        let base = self.set_of(line) * self.ways;
         let mut victim = base;
         for w in 0..self.ways {
             let i = base + w;
@@ -224,8 +248,7 @@ impl SectoredCache {
     /// Whether `line` is resident with all of `sector_mask` valid
     /// (read-only probe; no statistics or LRU update).
     pub fn probe(&self, line: u64, sector_mask: u8) -> bool {
-        let set = (line % self.sets as u64) as usize;
-        let base = set * self.ways;
+        let base = self.set_of(line) * self.ways;
         (0..self.ways).any(|w| {
             self.tags[base + w] == line
                 && (self.sector_valid[base + w] & sector_mask) == sector_mask

@@ -139,18 +139,14 @@ impl MemoryHierarchy {
         delta
     }
 
-    /// Streams one warp's OFmap store transactions (epilogue). GPU global
-    /// stores write through to L2 and drain to DRAM; they do not allocate
-    /// in L1 and — for the streaming OFmap pattern — do not benefit from
-    /// L2 residency, so both levels count the full sector volume.
-    pub fn warp_store(&mut self, transactions: &[Transaction]) -> u64 {
-        let bytes: u64 = transactions
-            .iter()
-            .map(|t| u64::from(t.sectors()) * SECTOR_BYTES)
-            .sum();
+    /// Records `bytes` of epilogue OFmap stores. GPU global stores write
+    /// through to L2 and drain to DRAM; they do not allocate in L1 and —
+    /// for the streaming OFmap pattern — do not benefit from L2
+    /// residency, so both levels count the full sector volume and no
+    /// cache state changes.
+    pub fn count_stores(&mut self, bytes: u64) {
         self.l2_write_bytes += bytes;
         self.dram_write_bytes += bytes;
-        bytes
     }
 
     /// Emulates `bytes` of *unique* traffic streaming through the L2 —
@@ -303,9 +299,7 @@ mod tests {
     #[test]
     fn stores_stream_to_dram() {
         let mut h = MemoryHierarchy::new(&GpuSpec::titan_xp());
-        let t = warp(&(0..32).map(|i| i * 4).collect::<Vec<_>>());
-        let b = h.warp_store(&t);
-        assert_eq!(b, 128);
+        h.count_stores(128);
         assert_eq!(h.dram_write_bytes(), 128);
         assert_eq!(h.l2_write_bytes(), 128);
         assert_eq!(h.totals(), TrafficDelta::default(), "reads unaffected");
@@ -331,7 +325,7 @@ mod tests {
             for t in s {
                 single.warp_load(0, t);
             }
-            single.warp_store(&streams[0][0]);
+            single.count_stores(64);
             single.age_l2(4096);
         }
         let mut merged = HierarchyStats::default();
@@ -340,7 +334,7 @@ mod tests {
             for t in s {
                 h.warp_load(0, t);
             }
-            h.warp_store(&streams[0][0]);
+            h.count_stores(64);
             h.age_l2(4096);
             merged.merge(&h.snapshot());
         }
@@ -348,7 +342,6 @@ mod tests {
         // partitioning does not change hit/miss outcomes.
         assert_eq!(merged, single.snapshot());
         assert_eq!(merged.aged_l2_bytes, 8192);
-        // Each store streams one line's two referenced sectors (2×32 B).
         assert_eq!(merged.dram_write_bytes, 2 * 64);
     }
 
@@ -409,6 +402,46 @@ mod tests {
                 assert_eq!(capped.0, reference.0, "per-access miss masks, {what}");
                 assert_eq!(capped.1, reference.1, "snapshot, {what}");
                 assert!(capped.2 == reference.2, "L2 residency, {what}");
+            }
+        }
+    }
+
+    /// The fastmod set index must be `line % sets` on every preset's L1
+    /// and L2 geometry, on both sides of its 32-bit fast-path limit, and
+    /// for a one-set cache, whose multiplier wraps to 0.
+    #[test]
+    fn set_index_equals_line_mod_sets() {
+        let gpus = [
+            GpuSpec::titan_xp(),
+            GpuSpec::p100(),
+            GpuSpec::v100(),
+            GpuSpec::v100_tensor(),
+            GpuSpec::a100(),
+        ];
+        let mut caches: Vec<SectoredCache> = gpus
+            .iter()
+            .flat_map(|gpu| {
+                let h = MemoryHierarchy::new(gpu);
+                [h.l1s[0].clone(), h.l2]
+            })
+            .collect();
+        caches.push(SectoredCache::new(4 * delta_model::LINE_BYTES, 4));
+        assert_eq!(caches.last().unwrap().sets(), 1);
+        let u32_max = u64::from(u32::MAX);
+        let mut lines = vec![0, 1, u32_max - 1, u32_max, u32_max + 1, u64::MAX];
+        lines.extend((0..64).map(|k| (1 << 40) + k));
+        let mut rng = proptest::TestRng::new(7);
+        lines.extend((0..4096).map(|_| rng.below(u32_max + 1)));
+        lines.extend((0..1024).map(|_| u32_max + 1 + rng.below(1 << 40)));
+        lines.extend((0..1024).map(|_| rng.next_u64()));
+        for c in &caches {
+            for &line in &lines {
+                let sets = c.sets() as u64;
+                assert_eq!(
+                    c.set_of(line) as u64,
+                    line % sets,
+                    "line {line}, {sets} sets"
+                );
             }
         }
     }

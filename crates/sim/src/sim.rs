@@ -307,8 +307,11 @@ impl Simulator {
     /// deliberate way: cache residency does not persist across
     /// tile columns (each column is an independent replay domain). That
     /// matches the analytical model's per-column IFmap refetch assumption
-    /// (paper Eq. 10) and typically moves measurements by a few percent
-    /// on multi-column layers; single-column layers are unaffected.
+    /// (paper Eq. 10), and on multi-column layers it can move DRAM reads
+    /// by a large factor, not a few percent: every column refetches the
+    /// IFmap that [`Simulator::run`] keeps in L2 when it fits. ResNet152
+    /// conv4_1_c at batch 8 reads 0.003 GB of DRAM under `run` and
+    /// 0.014 GB here. Single-column layers are unaffected.
     ///
     /// The tile column is the only work unit, so at most
     /// `min(n_workers, columns)` workers are busy; the rest own empty
@@ -884,7 +887,7 @@ pub struct Totals {
 impl Totals {
     /// Sums a column's simulated batches. Store bytes are deliberately
     /// NOT accumulated here: simulated stores already flow through
-    /// `MemoryHierarchy::warp_store` into `dram_write_bytes()`; only the
+    /// `MemoryHierarchy::count_stores` into `dram_write_bytes()`; only the
     /// extrapolated `Totals` carries `store_bytes` (set directly from
     /// the steady state). Summing them here too would double-count.
     pub fn accumulate(&mut self, batches: &[BatchStats]) {

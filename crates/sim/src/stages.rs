@@ -14,6 +14,14 @@
 //! 4. **timing** — [`TimingEngine::charge_loop`] converts the measured
 //!    per-loop traffic into cycles through the paper's Fig. 10 cases.
 //!
+//! Only the work that differs between CTAs is repeated per CTA. A batch's
+//! CTAs share one tile column and run their main loops in lockstep
+//! (§IV-C), so each loop's filter warps are traced and coalesced once per
+//! batch, then issued after every CTA's own IFmap warps: the hierarchy
+//! sees exactly the per-CTA access sequence. The epilogue touches no
+//! cache state, so its store bytes are counted in closed form, one O(1)
+//! term per store warp ([`CtaBatch::epilogue_bytes`]).
+//!
 //! [`CtaBatch`] owns one scheduled batch's trip through all four stages
 //! (including steady-state loop extrapolation and the epilogue store
 //! stage), so the orchestrator in [`crate::sim`] only sequences batches,
@@ -29,7 +37,7 @@ use crate::tensor::TensorMap;
 use crate::timing::TimingEngine;
 use crate::trace::CtaTrace;
 use delta_model::tiling::CtaTile;
-use delta_model::WARP_SIZE;
+use delta_model::{BYTES_PER_ELEMENT, SECTOR_BYTES, WARP_SIZE};
 use serde::{Deserialize, Serialize};
 
 /// Measured quantities of one simulated CTA batch.
@@ -72,7 +80,9 @@ pub struct CtaBatch<'a> {
 }
 
 impl<'a> CtaBatch<'a> {
-    /// Binds a scheduled batch to its layer context.
+    /// Binds a scheduled batch to its layer context. Every CTA must
+    /// belong to one tile column (as `ColumnScheduler::batch` returns):
+    /// the batch traces the column's filter warps once for all of them.
     pub fn new(
         map: &'a TensorMap,
         tile: CtaTile,
@@ -80,6 +90,10 @@ impl<'a> CtaBatch<'a> {
         main_loops: u64,
         active_ctas: u32,
     ) -> CtaBatch<'a> {
+        debug_assert!(
+            ctas.iter().all(|c| c.col == ctas[0].col),
+            "a CTA batch spans one tile column"
+        );
         CtaBatch {
             map,
             tile,
@@ -125,16 +139,26 @@ impl<'a> CtaBatch<'a> {
             .max_loops
             .map_or(self.main_loops, |m| self.main_loops.min(m.max(2)));
         let mut tail = TailAverager::default();
+        let mut filter_warps = CoalescedWarps::default();
 
         for loop_idx in 0..sim_loops {
-            // Stages 2+3: coalesce each warp and charge the hierarchy.
+            // Stages 1+2 for the filter tile, shared by the whole batch.
+            filter_warps.clear();
+            if let Some((trace, _)) = traces.first_mut() {
+                trace.for_each_filter_warp(loop_idx, |warp| filter_warps.push(warp, tx_buf));
+            }
+            // Stages 2+3: coalesce each CTA's IFmap warps and charge the
+            // hierarchy with them, then with the shared filter warps.
             let mut loop_delta = TrafficDelta::default();
             for (trace, sm) in &mut traces {
                 let sm = *sm as usize;
-                trace.for_each_warp(loop_idx, |warp| {
+                trace.for_each_ifmap_warp(loop_idx, |warp| {
                     coalesce::coalesce_warp(warp, tx_buf);
                     loop_delta.add(hier.warp_load(sm, tx_buf));
                 });
+                for warp in filter_warps.iter() {
+                    loop_delta.add(hier.warp_load(sm, warp));
+                }
             }
             // Stage 4: convert this loop's measured traffic to cycles.
             let t = timing.charge_loop(loop_delta, self.len(), self.active_ctas);
@@ -161,32 +185,80 @@ impl<'a> CtaBatch<'a> {
         }
 
         if limits.simulate_stores {
-            stats.store_bytes = self.epilogue(hier, tx_buf);
+            stats.store_bytes = self.epilogue_bytes();
+            hier.count_stores(stats.store_bytes);
             stats.cycles += timing.charge_epilogue(stats.store_bytes);
         }
         stats
     }
 
-    /// Epilogue stage: generates and issues the batch's OFmap stores;
-    /// returns the byte volume.
-    fn epilogue(&self, hier: &mut MemoryHierarchy, tx_buf: &mut Vec<Transaction>) -> u64 {
-        let mut warp = vec![None; WARP_SIZE as usize];
+    /// Epilogue stage: the byte volume of the batch's OFmap stores. Each
+    /// CTA stores its tile row by row, one warp per 32 output channels;
+    /// rows past the GEMM edge and channel chunks past `Co` issue no
+    /// store.
+    pub fn epilogue_bytes(&self) -> u64 {
+        let blk_m = u64::from(self.tile.blk_m());
+        let blk_n = u64::from(self.tile.blk_n());
+        let (gemm_m, gemm_n) = (self.map.gemm_m(), self.map.gemm_n());
         let mut bytes = 0u64;
         for cta in &self.ctas {
-            let m0 = cta.row * u64::from(self.tile.blk_m());
-            let n0 = cta.col * u64::from(self.tile.blk_n());
-            for mi in 0..u64::from(self.tile.blk_m()) {
-                let m = m0 + mi;
-                for n_chunk in (0..u64::from(self.tile.blk_n())).step_by(WARP_SIZE as usize) {
-                    for lane in 0..WARP_SIZE {
-                        warp[lane as usize] = self.map.ofmap_addr(m, n0 + n_chunk + lane);
-                    }
-                    coalesce::coalesce_warp(&warp, tx_buf);
-                    bytes += hier.warp_store(tx_buf);
+            let m0 = cta.row * blk_m;
+            let n0 = cta.col * blk_n;
+            let n_end = (n0 + blk_n).min(gemm_n);
+            for m in m0..(m0 + blk_m).min(gemm_m) {
+                for lo in (n0..n_end).step_by(WARP_SIZE as usize) {
+                    bytes += store_warp_bytes(self.map, m, lo);
                 }
             }
         }
         bytes
+    }
+}
+
+/// Bytes one epilogue warp stores: the warp writes OFmap row `m`,
+/// columns `lo..min(lo + 32, Co)`, which is the contiguous byte range
+/// `[a, b)` of the row-major OFmap. Its coalesced transactions cover
+/// every 32 B sector from `a / 32` to `(b − 1) / 32` and no other (the
+/// tensors are placed at element-aligned bases, so no 4 B element
+/// straddles a sector), so the volume is their count × 32 B. Requires
+/// `m < M` and `lo < Co`.
+fn store_warp_bytes(map: &TensorMap, m: u64, lo: u64) -> u64 {
+    let co = map.gemm_n();
+    let hi = (lo + WARP_SIZE).min(co);
+    let a = map.ofmap_base() + (m * co + lo) * BYTES_PER_ELEMENT;
+    let b = map.ofmap_base() + (m * co + hi) * BYTES_PER_ELEMENT;
+    ((b - 1) / SECTOR_BYTES - a / SECTOR_BYTES + 1) * SECTOR_BYTES
+}
+
+/// Coalesced warps stored back to back: one flat transaction list plus
+/// each warp's end offset, reused from loop to loop. An all-predicated
+/// warp keeps its (empty) slot, so replaying the list issues exactly the
+/// warps that were traced.
+#[derive(Debug, Default)]
+struct CoalescedWarps {
+    transactions: Vec<Transaction>,
+    ends: Vec<usize>,
+}
+
+impl CoalescedWarps {
+    fn clear(&mut self) {
+        self.transactions.clear();
+        self.ends.clear();
+    }
+
+    /// Coalesces `warp` (through the scratch `tx_buf`) and appends it.
+    fn push(&mut self, warp: &[Option<u64>], tx_buf: &mut Vec<Transaction>) {
+        coalesce::coalesce_warp(warp, tx_buf);
+        self.transactions.extend_from_slice(tx_buf);
+        self.ends.push(self.transactions.len());
+    }
+
+    /// The stored warps' transactions, in push order.
+    fn iter(&self) -> impl Iterator<Item = &[Transaction]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.transactions[start..end])
     }
 }
 
@@ -276,6 +348,7 @@ mod tests {
     use crate::tensor::TensorMap;
     use delta_model::tiling::LayerTiling;
     use delta_model::{ConvLayer, GpuSpec};
+    use proptest::prelude::*;
 
     fn layer() -> ConvLayer {
         ConvLayer::builder("stage_test")
@@ -320,6 +393,62 @@ mod tests {
         assert!(stats.cycles > 0.0);
         assert!(stats.store_bytes > 0);
         assert!(!stats.loop_extrapolated);
+    }
+
+    /// The per-lane epilogue the closed form replaced: every store warp's
+    /// 32 lane addresses, coalesced, with the touched sectors summed.
+    fn epilogue_bytes_by_lanes(batch: &CtaBatch<'_>) -> u64 {
+        let mut warp = vec![None; WARP_SIZE as usize];
+        let mut tx = Vec::new();
+        let mut bytes = 0u64;
+        for cta in &batch.ctas {
+            let m0 = cta.row * u64::from(batch.tile.blk_m());
+            let n0 = cta.col * u64::from(batch.tile.blk_n());
+            for mi in 0..u64::from(batch.tile.blk_m()) {
+                for n_chunk in (0..u64::from(batch.tile.blk_n())).step_by(WARP_SIZE as usize) {
+                    for lane in 0..WARP_SIZE {
+                        warp[lane as usize] = batch.map.ofmap_addr(m0 + mi, n0 + n_chunk + lane);
+                    }
+                    coalesce::coalesce_warp(&warp, &mut tx);
+                    bytes += tx
+                        .iter()
+                        .map(|t| u64::from(t.sectors()) * SECTOR_BYTES)
+                        .sum::<u64>();
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Ragged tiles on every axis: a partial last CTA row (M is rarely
+        /// a multiple of 128), `Co` below 32, below `blkN`, or not a
+        /// multiple of 32, batches above 1, and scaled tiles.
+        #[test]
+        fn closed_form_epilogue_equals_the_per_lane_reference(
+            (batch, ci, hw, co, scale) in (1u32..5, 1u32..9, 1u32..19, 1u32..300, 0u32..3)
+        ) {
+            let l = ConvLayer::builder("epilogue")
+                .batch(batch)
+                .input(ci, hw, hw)
+                .output_channels(co)
+                .filter(3, 3)
+                .pad(1)
+                .build()
+                .unwrap();
+            let gpu = GpuSpec::titan_xp();
+            let tiling = LayerTiling::with_scale(&l, Some(1 << scale));
+            let map = TensorMap::new(&l);
+            let sched = ColumnScheduler::new(&tiling, &gpu, 1);
+            for col in 0..sched.columns() {
+                for b in 0..sched.batches_per_column() {
+                    let batch = CtaBatch::new(&map, tiling.tile(), sched.batch(col, b), 1, 1);
+                    prop_assert_eq!(batch.epilogue_bytes(), epilogue_bytes_by_lanes(&batch));
+                }
+            }
+        }
     }
 
     #[test]

@@ -94,11 +94,16 @@ impl CtaTrace {
     /// passing the warp's 32 (optional) byte addresses. IFmap warps come
     /// first, then filter warps, matching the kernel's load order.
     pub fn for_each_warp(&mut self, loop_idx: u64, mut visit: impl FnMut(&[Option<u64>])) {
+        self.for_each_ifmap_warp(loop_idx, &mut visit);
+        self.for_each_filter_warp(loop_idx, visit);
+    }
+
+    /// The IFmap half of [`CtaTrace::for_each_warp`]: one warp is 32
+    /// consecutive rows of one im2col column.
+    pub fn for_each_ifmap_warp(&mut self, loop_idx: u64, mut visit: impl FnMut(&[Option<u64>])) {
         let blk_k = u64::from(self.tile.blk_k());
         let k0 = loop_idx * blk_k;
         let k_end = (k0 + blk_k).min(self.gemm_k);
-
-        // --- IFmap tile: one warp = 32 consecutive rows of one column ---
         for k in k0..k_end {
             let c = k / (u64::from(self.hf) * u64::from(self.wf));
             let rem = k % (u64::from(self.hf) * u64::from(self.wf));
@@ -128,9 +133,15 @@ impl CtaTrace {
                 visit(&self.warp_buf);
             }
         }
+    }
 
-        // --- Filter tile: one warp = blkK rows x (32/blkK) columns -------
-        let k_span = blk_k;
+    /// The filter half of [`CtaTrace::for_each_warp`]: one warp is
+    /// `blkK` rows × `32/blkK` columns. It depends only on the CTA's tile
+    /// column, never on its row, so every CTA of a batch (which shares
+    /// one column) yields the same filter warps.
+    pub fn for_each_filter_warp(&mut self, loop_idx: u64, mut visit: impl FnMut(&[Option<u64>])) {
+        let k_span = u64::from(self.tile.blk_k());
+        let k0 = loop_idx * k_span;
         let cols_per_warp = WARP_SIZE / k_span.max(1);
         let filter_warps = (u64::from(self.tile.blk_n()) * k_span).div_ceil(WARP_SIZE);
         for w in 0..filter_warps {
@@ -310,6 +321,53 @@ mod tests {
         assert_eq!(addrs[0], None);
         // Some lane of the k=0 column is live (interior outputs).
         assert!(addrs[..16].iter().any(Option::is_some));
+    }
+
+    /// A batch issues one shared filter trace for all its CTAs: that is
+    /// exact only if the filter warps never depend on the CTA's row.
+    #[test]
+    fn filter_warps_depend_on_the_column_only() {
+        // (Co, Ci): N % blkN != 0 and K = 9·Ci % blkK != 0 for each tile.
+        for (co, ci) in [(20u32, 3u32), (40, 5), (200, 7)] {
+            let l = ConvLayer::builder("t")
+                .batch(2)
+                .input(ci, 15, 15)
+                .output_channels(co)
+                .filter(3, 3)
+                .pad(1)
+                .build()
+                .unwrap();
+            let map = TensorMap::new(&l);
+            let tile = CtaTile::select(co);
+            assert_ne!(map.gemm_n() % u64::from(tile.blk_n()), 0);
+            assert_ne!(map.gemm_k() % u64::from(tile.blk_k()), 0);
+            let rows = map.gemm_m().div_ceil(u64::from(tile.blk_m()));
+            let cols = map.gemm_n().div_ceil(u64::from(tile.blk_n()));
+            let loops = map.gemm_k().div_ceil(u64::from(tile.blk_k()));
+            let filter_addrs = |tr: &mut CtaTrace, loop_idx| {
+                let mut all = Vec::new();
+                tr.for_each_filter_warp(loop_idx, |w| all.extend_from_slice(w));
+                all
+            };
+            for col in 0..cols {
+                let mut row0 = CtaTrace::new(&map, tile, 0, col);
+                for row in 0..rows {
+                    let mut tr = CtaTrace::new(&map, tile, row, col);
+                    for loop_idx in 0..loops {
+                        let filter = filter_addrs(&mut tr, loop_idx);
+                        assert_eq!(
+                            filter,
+                            filter_addrs(&mut row0, loop_idx),
+                            "co={co} row={row}"
+                        );
+                        let mut split = Vec::new();
+                        tr.for_each_ifmap_warp(loop_idx, |w| split.extend_from_slice(w));
+                        split.extend(filter);
+                        assert_eq!(collect_addrs(&mut tr, loop_idx), split, "co={co} row={row}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

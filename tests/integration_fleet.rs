@@ -55,6 +55,20 @@ fn narrow_layer() -> ConvLayer {
         .unwrap()
 }
 
+/// Co = 2048 -> sixteen tile columns: enough jobs that the executor
+/// dialed first does not drain the board before the other one has
+/// answered a job and claimed its next.
+fn many_column_layer() -> ConvLayer {
+    ConvLayer::builder("many_columns")
+        .batch(4)
+        .input(64, 14, 14)
+        .output_channels(2048)
+        .filter(3, 3)
+        .pad(1)
+        .build()
+        .unwrap()
+}
+
 /// Spawns `n` local executors and a coordinator over them, with test
 /// patience (short timeout so failure paths run fast, generous budget
 /// unless a test overrides it).
@@ -167,9 +181,9 @@ fn step_queries_are_bitwise_identical_for_every_executor_count() {
 fn a_mid_run_executor_death_recovers_bitwise() {
     let local = sim();
     let query = EvalQuery::new(
-        &wide_layer(),
+        &many_column_layer(),
         Pass::Fwd,
-        Parallelism::Sharded { workers: 4 },
+        Parallelism::Sharded { workers: 8 },
     );
     let want = json(&local.evaluate(&query).expect("local evaluate"));
 
