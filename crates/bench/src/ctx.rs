@@ -8,17 +8,19 @@ use std::path::PathBuf;
 pub struct Ctx {
     /// Mini-batch size for *both* the model and the simulator in
     /// model-vs-measured comparisons (the paper uses 256; the default
-    /// here is 16 so a single core finishes the suite quickly —
-    /// normalized ratios are batch-stable, DESIGN.md §2).
+    /// here is 16 so a single core finishes the suite quickly). The
+    /// harness compares model and measurement as normalized ratios,
+    /// which are batch-stable: `reduced_batch_preserves_normalized_ratio`
+    /// in `tests/integration_model_vs_sim.rs` checks it.
     pub sim_batch: u32,
     /// Simulator sampling controls.
     pub sim_config: SimConfig,
     /// Directory for CSV output (`results/` by default); `None` disables
     /// CSV emission.
     pub out_dir: Option<PathBuf>,
-    /// When set, the `bin/` wrappers arm span recording before the
-    /// experiment and write the Chrome trace-event document here after
-    /// it (the `--trace-out F` flag).
+    /// When set, the `experiment` binary arms span recording before the
+    /// experiments and writes the Chrome trace-event document here after
+    /// them (the `--trace-out F` flag).
     pub trace_out: Option<PathBuf>,
 }
 
@@ -66,34 +68,34 @@ impl Ctx {
     }
 
     /// Parses `--batch N`, `--full`, `--smoke`, `--no-csv`, and
-    /// `--trace-out F` from command-line arguments (used by the `bin/`
-    /// wrappers).
-    pub fn from_args(args: impl Iterator<Item = String>) -> Ctx {
+    /// `--trace-out F` from command-line arguments (the `experiment`
+    /// binary's flags).
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a missing value, or a `--batch` that is not a
+    /// positive integer: an experiment run under a silently dropped
+    /// flag would report numbers for a configuration nobody asked for.
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Ctx, String> {
         let mut ctx = Ctx::default();
-        let args: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--full" => ctx = Ctx::full(),
                 "--smoke" => ctx = Ctx::smoke(),
                 "--no-csv" => ctx.out_dir = None,
                 "--batch" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        ctx.sim_batch = v;
-                        i += 1;
-                    }
+                    let v = value()?;
+                    ctx.sim_batch = match v.parse() {
+                        Ok(n) if n >= 1 => n,
+                        _ => return Err(format!("--batch expects a count >= 1, got `{v}`")),
+                    };
                 }
-                "--trace-out" => {
-                    if let Some(v) = args.get(i + 1) {
-                        ctx.trace_out = Some(PathBuf::from(v));
-                        i += 1;
-                    }
-                }
-                _ => {}
+                "--trace-out" => ctx.trace_out = Some(PathBuf::from(value()?)),
+                _ => return Err(format!("unknown flag `{flag}`")),
             }
-            i += 1;
         }
-        ctx
+        Ok(ctx)
     }
 }
 
@@ -117,12 +119,25 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let c = Ctx::from_args(["--batch", "8", "--no-csv"].iter().map(|s| s.to_string()));
+        let parse = |args: &[&str]| Ctx::from_args(args.iter().map(|s| s.to_string()));
+        let c = parse(&["--batch", "8", "--no-csv"]).unwrap();
         assert_eq!(c.sim_batch, 8);
         assert!(c.out_dir.is_none());
-        let c = Ctx::from_args(["--full"].iter().map(|s| s.to_string()));
-        assert_eq!(c.sim_batch, 256);
-        let c = Ctx::from_args(["--smoke"].iter().map(|s| s.to_string()));
-        assert_eq!(c.sim_batch, 4);
+        assert_eq!(parse(&["--full"]).unwrap().sim_batch, 256);
+        assert_eq!(parse(&["--smoke"]).unwrap().sim_batch, 4);
+        let c = parse(&["--trace-out", "t.json"]).unwrap();
+        assert_eq!(c.trace_out, Some(PathBuf::from("t.json")));
+        // Fails closed: a typo or a malformed value is an error, never
+        // a run at the default configuration.
+        for bad in [
+            &["--bacth", "8"][..],
+            &["--batch", "x"],
+            &["--batch", "0"],
+            &["--batch"],
+            &["--trace-out"],
+            &["fig11"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 }

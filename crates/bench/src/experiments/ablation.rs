@@ -1,5 +1,6 @@
 //! Ablations of the reproduction's modeling choices (beyond the paper's
-//! own figures; DESIGN.md §5 motivates each knob):
+//! own figures; each knob is a value the paper fills from its own
+//! profiles or leaves open):
 //!
 //! 1. **Filter-MLI mode** — paper-profiled constants vs the sector-level
 //!    derivation vs physical line-granularity counting, scored against

@@ -9,8 +9,7 @@
 //! die_after_jobs`), forcing a straggler re-dispatch. Besides the
 //! timing, every row records whether the distributed estimate is
 //! **bitwise identical** (JSON byte equality) to the local evaluation —
-//! the fleet's core contract, which the CI perf gate also enforces as
-//! the always-on `fleet_identical` check.
+//! the fleet's core contract, pinned in `tests/integration_fleet.rs`.
 //!
 //! Speedups are informational only: socket framing dominates on these
 //! sub-second replays and CI runners may have a single core, so nothing

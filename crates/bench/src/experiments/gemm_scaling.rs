@@ -18,8 +18,9 @@
 //! resp. the in-process evaluation). That is the contract the
 //! tensor-core datapath must not break — datapath selection is a pure
 //! function of (GPU, layer kind), so every worker and every executor
-//! charges the same MMA cycles — and the CI perf gate enforces it as
-//! the always-on `transformer_shard_identical` check.
+//! charges the same MMA cycles. The shard half of that contract is
+//! pinned in `tests/integration_sharded_sim.rs`, for [`block_layers`]
+//! at 1/2/4/7 workers; this table reports it per row.
 //!
 //! Speedups are informational only (bounded by `min(workers, columns,
 //! cores)`, and socket framing dominates the executor rows); nothing
@@ -51,8 +52,8 @@ pub fn block_layers(batch: u32) -> Result<Vec<ConvLayer>, Error> {
 }
 
 /// The block layer with the most tile columns — the one the executor
-/// sweep and the CI perf gate shard, selected structurally so editing
-/// the zoo cannot silently change what CI measures.
+/// sweep shards, selected structurally so editing the zoo cannot
+/// silently change what CI measures.
 ///
 /// # Errors
 ///

@@ -10,8 +10,8 @@
 //! correctness column — whether the merged measurement is bitwise
 //! identical to the single-device sharded run. The identity must hold
 //! for **every** interconnect (the interconnect prices traffic on top of
-//! the merge, it never perturbs it); the CI perf gate enforces the same
-//! invariant.
+//! the merge, it never perturbs it); `tests/integration_multigpu.rs`
+//! pins the same invariant.
 //!
 //! The emitted CSV is the speedup-and-traffic-vs-G artifact: ideal rows
 //! isolate the partitioning (speedup saturates at min(devices,

@@ -1,5 +1,7 @@
-//! One module per paper artifact. See DESIGN.md §4 for the experiment
-//! index (workload, parameters, modules, expected shape).
+//! One module per paper artifact, plus the reproduction's own scaling
+//! and ablation studies. [`ALL`] is the one registry: the `experiment`
+//! binary runs any entry by id (`experiment fig11`) or every entry in
+//! order (`experiment all`).
 
 pub mod ablation;
 pub mod fig04;
@@ -24,8 +26,35 @@ pub mod tab1;
 use crate::ctx::Ctx;
 use crate::table::Table;
 
+/// An experiment's entry point: regenerates its tables under a context.
+pub type Experiment = fn(&Ctx) -> Result<Vec<Table>, delta_model::Error>;
+
+/// Every experiment by id, in the order `experiment all` runs them: the
+/// paper's table and figures first, then the reproduction's studies.
+pub const ALL: [(&str, Experiment); 19] = [
+    ("tab1", tab1::run),
+    ("fig04", fig04::run),
+    ("fig06", fig06::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("fig13", fig13::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("fig16", fig16::run),
+    ("fig17", fig17::run),
+    ("fig18", fig18::run),
+    ("fig19", fig19::run),
+    ("fig20", fig20::run),
+    ("ablation", ablation::run),
+    ("shard_scaling", shard_scaling::run),
+    ("gpu_scaling", gpu_scaling::run),
+    ("overlap_scaling", overlap_scaling::run),
+    ("fleet_scaling", fleet_scaling::run),
+    ("gemm_scaling", gemm_scaling::run),
+];
+
 /// Prints every table and writes the CSVs (`<id>_<n>.csv`) when the
-/// context has an output directory. Used by the `bin/` wrappers.
+/// context has an output directory.
 pub fn emit(ctx: &Ctx, id: &str, tables: &[Table]) {
     for (i, t) in tables.iter().enumerate() {
         println!("{t}");
@@ -42,28 +71,19 @@ pub fn emit(ctx: &Ctx, id: &str, tables: &[Table]) {
     }
 }
 
-/// Runs one experiment end-to-end from a binary: parse args, run, emit.
-pub fn run_binary(id: &str, run: fn(&Ctx) -> Result<Vec<Table>, delta_model::Error>) {
-    let ctx = Ctx::from_args(std::env::args().skip(1));
-    if ctx.trace_out.is_some() {
-        delta_obs::trace::set_enabled(true);
-    }
-    let outcome = run(&ctx);
-    if let Some(path) = &ctx.trace_out {
-        let events = delta_obs::trace::drain();
-        match std::fs::write(path, delta_obs::trace::chrome_trace_json(&events)) {
-            Ok(()) => eprintln!("wrote {} spans to {}", events.len(), path.display()),
-            Err(e) => {
-                eprintln!("{id}: cannot write trace {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    match outcome {
-        Ok(tables) => emit(&ctx, id, &tables),
-        Err(e) => {
-            eprintln!("{id} failed: {e}");
-            std::process::exit(1);
-        }
+#[cfg(test)]
+mod tests {
+    use super::ALL;
+    use std::collections::HashSet;
+
+    #[test]
+    fn registry_lists_every_module_once() {
+        let ids: HashSet<&str> = ALL.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids.len(), ALL.len(), "duplicate id in ALL");
+        let modules: HashSet<&str> = include_str!("mod.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
+            .collect();
+        assert_eq!(ids, modules, "ALL and the `pub mod` list disagree");
     }
 }

@@ -16,8 +16,8 @@
 //! * `step_ms` / `serial_ms` / `speedup` — the overlapped step against
 //!   the all-comm-after-compute schedule;
 //! * `bounds` — whether `max(compute, comm) <= step <= serial` held
-//!   (must be `true` on every row; the CI perf gate enforces the same
-//!   invariant).
+//!   (must be `true` on every row; `tests/integration_overlap.rs` pins
+//!   the same invariant).
 
 use crate::ctx::Ctx;
 use crate::table::{f3, Table};

@@ -7,8 +7,8 @@
 //! layer's tile columns are partitioned over workers ([`delta_sim::
 //! ShardPlan`]) and the per-shard hierarchies merge exactly. Besides the
 //! timing, every row records whether the sharded measurement is bitwise
-//! identical to the one-worker run — the correctness contract the CI
-//! perf gate also enforces.
+//! identical to the one-worker run — the correctness contract
+//! `tests/integration_sharded_sim.rs` pins.
 //!
 //! Speedups are bounded by `min(workers, columns, cores)`; the table
 //! title records the host's core count so CI artifacts from different
@@ -57,8 +57,8 @@ pub fn big_layers(batch: u32) -> Result<Vec<ConvLayer>, Error> {
     ])
 }
 
-/// The sweep layer with the most tile columns — the one the CI perf gate
-/// and the criterion shard bench time, selected structurally so editing
+/// The sweep layer with the most tile columns — the one the CI perf gate,
+/// the fleet sweep and the criterion shard bench time, selected structurally so editing
 /// [`big_layers`] cannot silently change what CI measures.
 ///
 /// # Errors

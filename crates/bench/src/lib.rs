@@ -8,15 +8,17 @@
 //!
 //! Every experiment is runnable three ways:
 //!
-//! * a binary: `cargo run --release -p delta-bench --bin fig11`
+//! * a binary: `cargo run --release -p delta-bench --bin experiment -- fig11`
+//!   (or `-- all` for every entry of [`experiments::ALL`])
 //! * programmatically: [`experiments::fig11::run`]
 //! * as a Criterion bench group (`cargo bench`)
 //!
 //! Output goes to stdout as an aligned table and to `results/<id>.csv`.
 //!
 //! The default [`Ctx`] runs the simulator at a reduced mini-batch with
-//! batch/loop sampling so the full suite completes in minutes on one core
-//! (DESIGN.md §2 documents why normalized comparisons are preserved);
+//! batch/loop sampling so the full suite completes in minutes on one core;
+//! the harness compares model and measurement as normalized ratios, which
+//! stay stable across batch sizes (see [`Ctx::sim_batch`]).
 //! `Ctx::full()` reproduces the paper's batch-256 configuration.
 
 #![deny(missing_docs)]

@@ -27,7 +27,8 @@ pub struct LayerComparison {
     /// DeLTA's analysis.
     pub model: LayerReport,
     /// L1 traffic with the line-granularity (`MliMode::Physical`) filter
-    /// MLI, for the profiler-consistent comparison (DESIGN.md §5).
+    /// MLI, for the profiler-consistent comparison (see
+    /// `MliMode::Physical`).
     pub model_l1_physical: f64,
     /// Simulator measurement (through the `Backend` interface).
     pub measured: LayerEstimate,

@@ -1,5 +1,5 @@
 //! Minimal blocking HTTP/1.1 client for exercising the `delta serve`
-//! daemon over real sockets from the bench harness and the perf gate.
+//! daemon over real sockets from the bench harness.
 //!
 //! The daemon speaks one-request-per-connection HTTP with
 //! `Connection: close` framing (docs/PROTOCOL.md), so the client is a

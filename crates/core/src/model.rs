@@ -183,8 +183,7 @@ mod tests {
         // TITAN Xp due to its poor L1 transaction efficiency." With the
         // Table I effective bandwidths our reproduction keeps conv1
         // MAC-bound, but the *shape* claim — conv1 has by far the worst
-        // L1 pressure (t_L1_BW / t_CS) of AlexNet — must hold
-        // (EXPERIMENTS.md discusses the difference).
+        // L1 pressure (t_L1_BW / t_CS) of AlexNet — must hold.
         let delta = Delta::new(GpuSpec::titan_xp());
         let conv1 = alexnet_conv1();
         let conv3 = ConvLayer::builder("alexnet_conv3")

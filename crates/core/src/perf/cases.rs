@@ -25,9 +25,9 @@ use crate::BYTES_PER_ELEMENT;
 /// DRAM → registers → SMEM before the first main loop can start (later
 /// CTAs' prologues are hidden by interleaving).
 ///
-/// The printed equation's first volume reads `blkM × blkN`; the prologue
-/// loads the *input* tiles, `(blkM + blkN) × blkK`, which is what we use
-/// (see DESIGN.md §5).
+/// The printed equation's first volume reads `blkM × blkN`, which is the
+/// size of the *output* tile; the prologue loads the *input* tiles,
+/// `(blkM + blkN) × blkK`, which is what we use.
 pub fn t_prologue(tiling: &LayerTiling, streams: &StreamTimes, gpu: &GpuSpec) -> f64 {
     let tile = tiling.tile();
     let input_bytes =

@@ -21,7 +21,8 @@
 //! max(compute, comm) <= step <= serial
 //! ```
 //!
-//! The CI perf gate enforces them on every emitted schedule.
+//! `tests/integration_overlap.rs` checks them on every topology preset,
+//! device count and bucket size.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

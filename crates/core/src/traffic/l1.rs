@@ -32,7 +32,8 @@ pub enum MliMode {
     /// ([`mli_filter_physical`]): each of the warp's `32/blkK` distant
     /// columns costs whole 128 B requests. This is what a
     /// transaction-counting profiler (and this repository's simulator)
-    /// observes; yields ≈4.9 / 8.8 for `blkK` 8 / 4 (DESIGN.md §5).
+    /// observes; yields ≈4.9 / 8.8 for `blkK` 8 / 4. The `ablation`
+    /// experiment scores all three modes against the simulator.
     Physical,
 }
 
@@ -95,8 +96,8 @@ pub fn mli_filter_derived(blk_k: u32) -> f64 {
 /// every column run costs at least one whole `l1_request_bytes` request;
 /// runs that straddle a request boundary (uniform 4 B alignment) cost
 /// two. The paper's sector-granularity constants (2.0 / 2.75) undercount
-/// this by roughly the line/run ratio; see DESIGN.md §5 and
-/// EXPERIMENTS.md.
+/// this by roughly the line/run ratio; the `ablation` experiment's
+/// filter-MLI table measures the gap against the simulator.
 pub fn mli_filter_physical(blk_k: u32, l1_request_bytes: u32) -> f64 {
     let blk_k = u64::from(blk_k.max(1)).min(WARP_SIZE);
     let req = u64::from(l1_request_bytes).max(SECTOR_BYTES);
@@ -140,8 +141,7 @@ pub fn mli_filter(blk_k: u32, l1_request_bytes: u32, mode: MliMode) -> f64 {
 /// The paper's printed Eq. 4 omits the two grid multiplicities
 /// ([`l1_traffic_bytes_paper_eq4`]), but its own measured L1 volumes
 /// (Fig. 20a) include them — a profiler counts every transaction the SMs
-/// issue — so this physically consistent form is the default
-/// (DESIGN.md §5).
+/// issue — so this physically consistent form is the default.
 pub fn l1_traffic_bytes(
     layer: &ConvLayer,
     tiling: &LayerTiling,

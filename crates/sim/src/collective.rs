@@ -29,8 +29,8 @@
 //! The resulting [`StepTimeline`] satisfies
 //! `max(compute, comm) <= step <= serial` *exactly in floating point*
 //! (the serial total is accumulated in the same order as the overlap-off
-//! communication chain), which is what lets the CI perf gate assert the
-//! bound bitwise.
+//! communication chain), which is what lets the tests assert the bound
+//! bitwise.
 
 use crate::multigpu::MultiGpuMeasurement;
 use crate::sim::{add_wgrad_all_reduce, Simulator};

@@ -2,7 +2,8 @@
 //!
 //! The DeLTA paper validates its analytical model against nvprof
 //! measurements of real GPUs. This crate is the reproduction's measurement
-//! substrate (DESIGN.md §2): it *executes* the implicit-GEMM convolution at
+//! substrate in their place, since the reproduction runs without a GPU
+//! or its profiler: it *executes* the implicit-GEMM convolution at
 //! the address level and measures what the memory system actually does,
 //! independently of the closed-form DeLTA equations:
 //!

@@ -10,8 +10,8 @@
 //! CTA grids the simulator can sample a prefix of each column's batches
 //! and extrapolate the rest — per-batch traffic within a column is
 //! stationary once the caches warm up — which keeps full-network sweeps
-//! tractable (DESIGN.md §2). `SimConfig { max_batches_per_column: None,
-//! .. }` disables sampling.
+//! tractable. `SimConfig { max_batches_per_column: None, .. }` disables
+//! sampling.
 
 use crate::coalesce::Transaction;
 use crate::collective::LocalReplays;
@@ -324,7 +324,7 @@ impl Simulator {
     /// [`Simulator::run_sharded`] plus per-shard cycle accounting — the
     /// primitive the multi-GPU layer (`run_multi`) builds on, where each
     /// shard is one device and the per-device critical path matters.
-    /// Public so the fleet's identity tests and perf gate can compare a
+    /// Public so the fleet's identity tests can compare a
     /// distributed merge against the single-process detail bitwise,
     /// per-shard cycles included.
     pub fn run_sharded_detail(&self, layer: &ConvLayer, n_workers: u32) -> ShardedRun {

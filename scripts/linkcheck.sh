@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Documentation link check: fails if README.md or docs/*.md reference a
 # repository file that does not exist, or a `delta` subcommand the CLI
-# does not dispatch. Pure grep/sed — no dependencies beyond coreutils —
+# does not dispatch, or if a Rust comment cites a `*.md` file that does
+# not exist. Pure grep/sed — no dependencies beyond coreutils —
 # so it runs anywhere CI does. Usage: scripts/linkcheck.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,6 +65,25 @@ for doc in "${docs[@]}"; do
     fi
   done < <(grep -oE '\bdelta [a-z-]+' "$doc" | sed 's/^delta //; s/-$//' | sort -u)
 done
+
+# ---- 4. Markdown files cited in Rust comments ----------------------------
+# A `NAME.md` (or `dir/NAME.md`) in a `//` comment must exist relative to
+# the repository root or to a directory enclosing the citing file, so a
+# comment cannot send its reader to a document that is not there.
+while IFS= read -r hit; do
+  file=${hit%%:*}
+  for name in $(grep -oE '[A-Za-z0-9_./-]+\.md\b' <<< "${hit#*:}"); do
+    dir=$(dirname "$file")
+    until [ -e "$dir/$name" ] || [ "$dir" = . ]; do
+      dir=$(dirname "$dir")
+    done
+    if [ ! -e "$dir/$name" ]; then
+      echo "linkcheck: $file cites missing file: $name"
+      fail=1
+    fi
+  done
+done < <(grep -roE --include='*.rs' --exclude-dir=target '//.*\.md\b.*' \
+  crates tests examples perfbench/src vendor)
 
 if [ "$fail" != 0 ]; then
   echo "linkcheck: FAILED"

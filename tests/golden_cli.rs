@@ -16,7 +16,11 @@
 //! straight into the query changed no byte. VGG16 at batch 2 has four
 //! layers with non-zero `link_bytes`, so the last two exercise link
 //! pricing.
+//!
+//! The pinned multi-GPU golden doubles as the tracing check: span
+//! recording must never change a byte of output.
 
+use serde::Value;
 use std::process::Command;
 
 fn run(args: &[&str]) -> String {
@@ -149,5 +153,34 @@ fn network_vgg16_pcie_hierarchical_bytes_unchanged() {
     assert_eq!(
         got,
         golden("cli_network_vgg16_sim_gpus4_pcie_hierarchical_b2.json")
+    );
+}
+
+#[test]
+fn traced_multi_gpu_network_bytes_unchanged() {
+    // A subprocess, so the process-global tracing flag never reaches
+    // the other tests.
+    let trace =
+        std::env::temp_dir().join(format!("delta_golden_trace_{}.json", std::process::id()));
+    let got = run(&[
+        "network",
+        "alexnet",
+        "--backend",
+        "sim",
+        "--gpus",
+        "4",
+        "--batch",
+        "2",
+        "--json",
+        "--trace-out",
+        trace.to_str().expect("utf-8 temp path"),
+    ]);
+    assert_eq!(got, golden("net_alexnet_sim_gpus4_nvlink_b2.json"));
+    let doc = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&trace);
+    let doc: Value = serde_json::from_str(&doc).expect("trace is JSON");
+    assert!(
+        matches!(doc.get("traceEvents"), Some(Value::Seq(events)) if !events.is_empty()),
+        "no trace events"
     );
 }

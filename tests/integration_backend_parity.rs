@@ -51,7 +51,7 @@ fn alexnet_estimates(backend: &dyn Backend) -> Vec<(String, LayerEstimate)> {
 fn model_and_sim_agree_within_paper_error_bands_on_alexnet() {
     let gpu = GpuSpec::titan_xp();
     // Physical filter-MLI so the model counts the same L1 transactions a
-    // transaction-counting measurement does (DESIGN.md §5).
+    // transaction-counting measurement does.
     let model = Delta::with_options(
         gpu.clone(),
         DeltaOptions {

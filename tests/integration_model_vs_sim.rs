@@ -52,7 +52,7 @@ fn dram_model_tracks_simulator_within_2x() {
 #[test]
 fn l1_model_tracks_simulator_on_ifmap_dominated_layers() {
     // The L1 model's known gap is the paper's filter-MLI constant
-    // (2.0 vs the physical ~4.0, see EXPERIMENTS.md); layers whose
+    // (2.0 vs the physical ~4.0, see `mli_filter_physical`); layers whose
     // traffic is IFmap-dominated sidestep it, so the band is tight.
     let gpu = GpuSpec::titan_xp();
     let delta = Delta::new(gpu.clone());
@@ -139,9 +139,10 @@ fn measured_miss_rates_vary_like_fig4() {
 
 #[test]
 fn reduced_batch_preserves_normalized_ratio() {
-    // The harness's batch-reduction substitution (DESIGN.md §2): the
-    // model/measured DRAM ratio at B=4 matches the ratio at B=12 within
-    // a modest band, so normalized figures are batch-stable.
+    // The harness simulates at a reduced batch (`Ctx::sim_batch`, 16
+    // against the paper's 256): the model/measured DRAM ratio at B=4
+    // matches the ratio at B=12 within a modest band, so normalized
+    // figures are batch-stable.
     let gpu = GpuSpec::titan_xp();
     let delta = Delta::new(gpu.clone());
     let sim = Simulator::new(gpu, SimConfig::exhaustive());

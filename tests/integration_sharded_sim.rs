@@ -1,9 +1,9 @@
 //! Cross-crate integration of the intra-layer sharding seam: the
 //! `Parallelism::Sharded { workers }` query from the CLI's `--shards N`
 //! through `Backend` and `Engine` must produce bitwise-identical
-//! estimates for every worker count — the acceptance contract the CI
-//! perf gate also enforces.
+//! estimates for every worker count.
 
+use delta_bench::experiments::gemm_scaling;
 use delta_model::engine::{Engine, LayerShape};
 use delta_model::query::{EvalQuery, Parallelism};
 use delta_model::{Backend, ConvLayer, GpuSpec};
@@ -129,6 +129,16 @@ fn wide_layer_identical_across_worker_counts_via_backend() {
     let one = s.evaluate(&sharded(&l, 1)).unwrap();
     for n in [2, 4, 16, 32] {
         assert_eq!(s.evaluate(&sharded(&l, n)).unwrap(), one, "n_workers={n}");
+    }
+    // The five GPT2-S block layers on the A100's tensor-core datapath,
+    // compared as whole `Measurement`s: the MMA charge must not break
+    // the merge, also at 7 workers, which divides no layer's columns.
+    let tc = Simulator::new(GpuSpec::a100(), SimConfig::default());
+    for l in gemm_scaling::block_layers(2).unwrap() {
+        let one = tc.run_sharded(&l, 1);
+        for n in [2, 4, 7] {
+            assert_eq!(tc.run_sharded(&l, n), one, "{} n_workers={n}", l.label());
+        }
     }
 }
 
