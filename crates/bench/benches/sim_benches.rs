@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use delta_model::tiling::CtaTile;
-use delta_model::{ConvLayer, GpuSpec};
+use delta_model::{training, ConvLayer, GpuSpec};
 use delta_sim::cache::SectoredCache;
 use delta_sim::coalesce::{self, Transaction};
 use delta_sim::sched::ColumnScheduler;
@@ -31,14 +31,18 @@ fn bench_trace_generation(c: &mut Criterion) {
     let map = TensorMap::new(&layer);
     let tile = CtaTile::select(layer.out_channels());
     let mut group = c.benchmark_group("sim/trace");
-    // Addresses per loop: ifmap blkM*blkK + filter blkN*blkK lanes.
+    // Lanes per loop: ifmap blkM*blkK + filter blkN*blkK.
     let lanes = u64::from(tile.blk_m() + tile.blk_n()) * u64::from(tile.blk_k());
     group.throughput(Throughput::Elements(lanes));
+    // The IFmap warps as transactions from their row runs, then the
+    // filter warps lane by lane.
     group.bench_function("one_main_loop", |b| {
         let mut trace = CtaTrace::new(&map, tile, 0, 0);
+        let mut tx_buf = Vec::with_capacity(64);
         b.iter(|| {
             let mut live = 0u64;
-            trace.for_each_warp(black_box(0), |w| {
+            trace.for_each_ifmap_warp(black_box(0), &mut tx_buf, |w| live += w.len() as u64);
+            trace.for_each_filter_warp(black_box(0), |w| {
                 live += w.iter().flatten().count() as u64;
             });
             live
@@ -105,38 +109,47 @@ fn batch_layer() -> ConvLayer {
 }
 
 fn bench_cta_batch(c: &mut Criterion) {
-    let layer = batch_layer();
     let gpu = GpuSpec::titan_xp();
     let sim = Simulator::new(gpu.clone(), SimConfig::default());
-    let tiling = sim.tiling(&layer);
-    let map = TensorMap::new(&layer);
-    let active = tiling.tile().active_ctas_per_sm(&gpu);
-    let sched = ColumnScheduler::new(&tiling, &gpu, active);
-    let batch = CtaBatch::new(
-        &map,
-        tiling.tile(),
-        sched.batch(0, 0),
-        tiling.main_loops(),
-        active,
-    );
     let mut group = c.benchmark_group("sim/cta_batch");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(batch.len()));
     // Eight main loops through trace, coalesce, hierarchy and timing,
-    // then the loop extrapolation and the epilogue, on a warm hierarchy.
-    group.bench_function("simulate_8_loops", |b| {
-        let mut hier = MemoryHierarchy::new(&gpu);
-        let mut timing = TimingEngine::new(&gpu, tiling.tile());
-        let mut tx_buf = Vec::with_capacity(64);
-        let limits = BatchLimits {
-            max_loops: Some(8),
-            simulate_stores: true,
-        };
-        b.iter(|| batch.simulate(&mut hier, &mut timing, limits, &mut tx_buf))
-    });
-    group.bench_function("epilogue", |b| {
-        b.iter(|| black_box(&batch).epilogue_bytes())
-    });
+    // then the loop extrapolation and the epilogue, on a warm hierarchy:
+    // for the conv, and for its FC-shaped wgrad GEMM, whose IFmap lanes
+    // each read a different sample.
+    let wgrad = training::wgrad_layer(&batch_layer()).expect("valid layer");
+    for (name, layer) in [
+        ("simulate_8_loops", batch_layer()),
+        ("wgrad_8_loops", wgrad),
+    ] {
+        let tiling = sim.tiling(&layer);
+        let map = TensorMap::new(&layer);
+        let active = tiling.tile().active_ctas_per_sm(&gpu);
+        let sched = ColumnScheduler::new(&tiling, &gpu, active);
+        let batch = CtaBatch::new(
+            &map,
+            tiling.tile(),
+            sched.batch(0, 0),
+            tiling.main_loops(),
+            active,
+        );
+        group.throughput(Throughput::Elements(batch.len()));
+        group.bench_function(name, |b| {
+            let mut hier = MemoryHierarchy::new(&gpu);
+            let mut timing = TimingEngine::new(&gpu, tiling.tile());
+            let mut tx_buf = Vec::with_capacity(64);
+            let limits = BatchLimits {
+                max_loops: Some(8),
+                simulate_stores: true,
+            };
+            b.iter(|| batch.simulate(&mut hier, &mut timing, limits, &mut tx_buf))
+        });
+        if name == "simulate_8_loops" {
+            group.bench_function("epilogue", |b| {
+                b.iter(|| black_box(&batch).epilogue_bytes())
+            });
+        }
+    }
     group.finish();
 }
 

@@ -8,8 +8,9 @@
 //! 3. **warm step cache** — a multi-GPU training-step evaluation
 //!    answered from a persisted v3 cache file vs. simulated cold;
 //! 4. **tracing overhead** — the sharded evaluation seam with span
-//!    recording armed vs. off, the one ratio gated against a *ceiling*
-//!    (`baseline × (1 + tolerance)`) instead of a floor.
+//!    recording armed vs. off, as the ratio of medians over at least
+//!    five alternating off/on pairs; the one ratio gated against a
+//!    *ceiling* (`baseline × (1 + tolerance)`) instead of a floor.
 //!
 //! All are measured as **ratios**, not absolute times, so the
 //! gate is portable across CI machines of different raw speed. Usage:
@@ -31,6 +32,7 @@
 //! here because `perfbench/` pins each run to one CPU.
 
 use delta_bench::experiments::shard_scaling;
+use delta_bench::stats::Distribution;
 use delta_model::engine::{Engine, EngineOptions};
 use delta_model::query::{EvalQuery, Parallelism, StepQuery};
 use delta_model::GpuSpec;
@@ -53,8 +55,9 @@ struct GateReport {
     /// Warm over cold multi-GPU step-evaluation speedup, where the warm
     /// engine answers from a persisted v3 cache file.
     warm_step_cache_speedup: f64,
-    /// Tracing-on over tracing-off wall time on the sharded evaluation
-    /// seam — the one ratio gated against a **ceiling**, not a floor.
+    /// Median tracing-on over median tracing-off wall time on the
+    /// sharded evaluation seam, over alternating off/on pairs — the one
+    /// ratio gated against a **ceiling**, not a floor.
     tracing_overhead: f64,
 }
 
@@ -74,6 +77,9 @@ struct Baseline {
     /// `baseline × (1 + tolerance)`.
     tracing_overhead: f64,
 }
+
+/// Fewest alternating off/on pairs behind `tracing_overhead`.
+const TRACING_PAIRS: u32 = 5;
 
 fn best_of<F: FnMut() -> f64>(reps: u32, mut run: F) -> f64 {
     let mut best = f64::INFINITY;
@@ -156,19 +162,26 @@ fn measure(reps: u32) -> GateReport {
     });
     let _ = std::fs::remove_file(&cache_file);
 
-    // Path 4: span recording on the sharded seam. Measured last so the
-    // enabled flag cannot leak into the other timed paths.
-    let t_trace_off = best_of(reps, || sharded(1));
-    delta_obs::trace::set_enabled(true);
-    let t_trace_on = best_of(reps, || sharded(1));
-    delta_obs::trace::set_enabled(false);
+    // Path 4: span recording on the sharded seam, as the ratio of the
+    // median on and off times over alternating off/on pairs (at least
+    // `TRACING_PAIRS`), so host drift lands on both sides alike and one
+    // slow sample cannot fail the ceiling. Measured last so the enabled
+    // flag cannot leak into the other timed paths.
+    let (mut off, mut on) = (Vec::new(), Vec::new());
+    for _ in 0..reps.max(TRACING_PAIRS) {
+        off.push(best_of(1, || sharded(1)));
+        delta_obs::trace::set_enabled(true);
+        on.push(best_of(1, || sharded(1)));
+        delta_obs::trace::set_enabled(false);
+    }
+    let median = |times: &[f64]| Distribution::of(times).expect("timed pairs").median;
 
     GateReport {
         cores: rayon::current_num_threads(),
         engine_cached_speedup: t_loop / t_engine,
         shard_speedup_4w: t1 / t4,
         warm_step_cache_speedup: t_cold / t_warm,
-        tracing_overhead: t_trace_on / t_trace_off,
+        tracing_overhead: median(&on) / median(&off),
     }
 }
 
@@ -210,7 +223,10 @@ fn main() {
     let (check, out, reps) = parse_args();
     let report = measure(reps);
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    println!("perf_gate (best of {reps}):\n{json}");
+    println!(
+        "perf_gate (best of {reps}; tracing_overhead over {} pairs):\n{json}",
+        reps.max(TRACING_PAIRS)
+    );
 
     if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)

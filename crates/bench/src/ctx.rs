@@ -4,7 +4,7 @@ use delta_sim::SimConfig;
 use std::path::PathBuf;
 
 /// Experiment context: simulation scale and output location.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ctx {
     /// Mini-batch size for *both* the model and the simulator in
     /// model-vs-measured comparisons (the paper uses 256; the default
@@ -69,31 +69,53 @@ impl Ctx {
 
     /// Parses `--batch N`, `--full`, `--smoke`, `--no-csv`, and
     /// `--trace-out F` from command-line arguments (the `experiment`
-    /// binary's flags).
+    /// binary's flags). The preset (`--full` or `--smoke`) applies
+    /// first and the other flags over it, wherever each one stands.
     ///
     /// # Errors
     ///
-    /// An unknown flag, a missing value, or a `--batch` that is not a
-    /// positive integer: an experiment run under a silently dropped
-    /// flag would report numbers for a configuration nobody asked for.
+    /// An unknown flag, a missing value, a `--batch` that is not a
+    /// positive integer, or two presets: an experiment run under a
+    /// silently dropped flag would report numbers for a configuration
+    /// nobody asked for.
     pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Ctx, String> {
-        let mut ctx = Ctx::default();
+        let mut preset: Option<(String, Ctx)> = None;
+        let (mut batch, mut no_csv, mut trace_out) = (None, false, None);
         while let Some(flag) = args.next() {
             let mut value = || args.next().ok_or(format!("{flag} needs a value"));
             match flag.as_str() {
-                "--full" => ctx = Ctx::full(),
-                "--smoke" => ctx = Ctx::smoke(),
-                "--no-csv" => ctx.out_dir = None,
+                "--full" | "--smoke" => {
+                    if let Some((first, _)) = &preset {
+                        return Err(format!("`{first}` and `{flag}` are both presets; pass one"));
+                    }
+                    let ctx = if flag == "--full" {
+                        Ctx::full()
+                    } else {
+                        Ctx::smoke()
+                    };
+                    preset = Some((flag, ctx));
+                }
+                "--no-csv" => no_csv = true,
                 "--batch" => {
                     let v = value()?;
-                    ctx.sim_batch = match v.parse() {
-                        Ok(n) if n >= 1 => n,
+                    batch = match v.parse() {
+                        Ok(n) if n >= 1 => Some(n),
                         _ => return Err(format!("--batch expects a count >= 1, got `{v}`")),
                     };
                 }
-                "--trace-out" => ctx.trace_out = Some(PathBuf::from(value()?)),
+                "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
                 _ => return Err(format!("unknown flag `{flag}`")),
             }
+        }
+        let mut ctx = preset.map_or_else(Ctx::default, |(_, ctx)| ctx);
+        if let Some(n) = batch {
+            ctx.sim_batch = n;
+        }
+        if no_csv {
+            ctx.out_dir = None;
+        }
+        if trace_out.is_some() {
+            ctx.trace_out = trace_out;
         }
         Ok(ctx)
     }
@@ -117,6 +139,31 @@ mod tests {
         assert_eq!(c.sim_config.max_batches_per_column, None);
     }
 
+    /// A preset sets the base and every other flag overrides it, before
+    /// or after it alike.
+    #[test]
+    fn flags_override_the_preset_in_any_order() {
+        let parse = |args: &str| Ctx::from_args(args.split_whitespace().map(String::from)).unwrap();
+        assert_eq!(parse("--batch 8 --smoke"), parse("--smoke --batch 8"));
+        let after = parse("--smoke --batch 8 --no-csv --trace-out t.json");
+        assert_eq!(
+            after,
+            parse("--batch 8 --no-csv --trace-out t.json --smoke")
+        );
+        assert_eq!(after.sim_batch, 8);
+        assert_eq!(after.sim_config, Ctx::smoke().sim_config);
+        assert_eq!(after.out_dir, None);
+        assert_eq!(after.trace_out, Some(PathBuf::from("t.json")));
+        let full = parse("--batch 8 --full");
+        assert_eq!(
+            full,
+            Ctx {
+                sim_batch: 8,
+                ..Ctx::full()
+            }
+        );
+    }
+
     #[test]
     fn arg_parsing() {
         let parse = |args: &[&str]| Ctx::from_args(args.iter().map(|s| s.to_string()));
@@ -131,6 +178,8 @@ mod tests {
         // a run at the default configuration.
         for bad in [
             &["--bacth", "8"][..],
+            &["--smoke", "--full"],
+            &["--smoke", "--smoke"],
             &["--batch", "x"],
             &["--batch", "0"],
             &["--batch"],

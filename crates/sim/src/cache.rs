@@ -50,6 +50,19 @@ impl CacheStats {
     }
 }
 
+/// Sectors set in each 4-bit sector mask. A table lookup, because the
+/// baseline x86-64 target has no `popcnt` instruction.
+const SECTORS_IN_MASK: [u8; 16] = [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4];
+
+/// Number of sectors in `mask` (its low four bits).
+#[inline]
+pub(crate) fn sector_count(mask: u8) -> u64 {
+    u64::from(SECTORS_IN_MASK[usize::from(mask & 0xF)])
+}
+
+/// Bits of a way's meta word below its LRU stamp: the valid-sector mask.
+const MASK_BITS: u32 = 4;
+
 /// A sectored, set-associative, LRU cache.
 ///
 /// Each access stamps its way with a fresh tick of the cache's LRU clock,
@@ -61,6 +74,10 @@ impl CacheStats {
 /// than [`SectoredCache::capacity_lines`] is replayed from its last
 /// `capacity_lines()` lines alone, after advancing the clock past the
 /// rest (see [`crate::hierarchy::MemoryHierarchy::age_l2`]).
+///
+/// The ways are two parallel arrays, tags and meta words, each meta
+/// holding `stamp << 4 | valid sectors`. One pass over a set's slice of
+/// both finds either the hit or the least recently stamped way.
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
     sets: usize,
@@ -69,10 +86,8 @@ pub struct SectoredCache {
     ways: usize,
     /// Line tag per (set, way); `u64::MAX` = invalid.
     tags: Vec<u64>,
-    /// Valid-sector bitmask per (set, way).
-    sector_valid: Vec<u8>,
-    /// LRU timestamp per (set, way).
-    stamp: Vec<u64>,
+    /// `LRU stamp << 4 | valid-sector mask` per (set, way).
+    metas: Vec<u64>,
     tick: u64,
     stats: CacheStats,
 }
@@ -102,8 +117,7 @@ impl SectoredCache {
             set_magic: (u64::MAX / sets as u64).wrapping_add(1),
             ways,
             tags: vec![u64::MAX; sets * ways],
-            sector_valid: vec![0; sets * ways],
-            stamp: vec![0; sets * ways],
+            metas: vec![0; sets * ways],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -149,10 +163,41 @@ impl SectoredCache {
     /// Resets contents and statistics.
     pub fn reset(&mut self) {
         self.tags.fill(u64::MAX);
-        self.sector_valid.fill(0);
-        self.stamp.fill(0);
+        self.metas.fill(0);
         self.tick = 0;
         self.stats = CacheStats::default();
+    }
+
+    /// Advances the clock by one access and returns the meta word that
+    /// access stamps with `sector_mask`.
+    #[inline]
+    fn stamp(&mut self, sector_mask: u8) -> u64 {
+        self.tick += 1;
+        debug_assert!(self.tick < 1 << (64 - MASK_BITS), "LRU clock overflow");
+        self.tick << MASK_BITS | u64::from(sector_mask)
+    }
+
+    /// One pass over `line`'s set: `Ok(i)` if way `i` holds `line`,
+    /// else `Err(i)` for the way with the smallest stamp (the first such
+    /// way on a tie, which only unstamped ways can be in).
+    #[inline]
+    fn lookup(&self, line: u64) -> Result<usize, usize> {
+        let base = self.set_of(line) * self.ways;
+        let tags = &self.tags[base..base + self.ways];
+        let metas = &self.metas[base..base + self.ways];
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (w, (&tag, &meta)) in tags.iter().zip(metas).enumerate() {
+            if tag == line {
+                return Ok(base + w);
+            }
+            let stamp = meta >> MASK_BITS;
+            if stamp < oldest {
+                oldest = stamp;
+                victim = w;
+            }
+        }
+        Err(base + victim)
     }
 
     /// Accesses `line` with the given sector mask; returns the mask of
@@ -160,38 +205,29 @@ impl SectoredCache {
     /// sectors are filled; on a line miss the LRU way is evicted.
     pub fn access(&mut self, line: u64, sector_mask: u8) -> u8 {
         debug_assert!(sector_mask != 0, "empty access");
-        self.tick += 1;
+        let stamped = self.stamp(sector_mask);
         self.stats.accesses += 1;
-        let base = self.set_of(line) * self.ways;
-
-        // Hit path: line resident, fill any missing sectors.
-        for w in 0..self.ways {
-            let i = base + w;
-            if self.tags[i] == line {
-                let missed = sector_mask & !self.sector_valid[i];
-                self.sector_valid[i] |= sector_mask;
-                self.stamp[i] = self.tick;
-                self.stats.sector_hits += u64::from((sector_mask & !missed).count_ones());
-                self.stats.sector_misses += u64::from(missed.count_ones());
-                return missed;
+        match self.lookup(line) {
+            // Hit path: line resident, fill any missing sectors.
+            Ok(i) => {
+                let valid = self.metas[i] as u8 & 0xF;
+                let missed = sector_mask & !valid;
+                self.metas[i] = stamped | u64::from(valid);
+                self.stats.sector_hits += sector_count(sector_mask & valid);
+                self.stats.sector_misses += sector_count(missed);
+                missed
+            }
+            // Miss path: evict the LRU way.
+            Err(victim) => {
+                if self.tags[victim] != u64::MAX {
+                    self.stats.evictions += 1;
+                }
+                self.tags[victim] = line;
+                self.metas[victim] = stamped;
+                self.stats.sector_misses += sector_count(sector_mask);
+                sector_mask
             }
         }
-
-        // Miss path: evict LRU way.
-        let mut victim = base;
-        for w in 1..self.ways {
-            if self.stamp[base + w] < self.stamp[victim] {
-                victim = base + w;
-            }
-        }
-        if self.tags[victim] != u64::MAX {
-            self.stats.evictions += 1;
-        }
-        self.tags[victim] = line;
-        self.sector_valid[victim] = sector_mask;
-        self.stamp[victim] = self.tick;
-        self.stats.sector_misses += u64::from(sector_mask.count_ones());
-        sector_mask
     }
 
     /// Fills `line` without recording statistics — used to emulate the
@@ -199,23 +235,41 @@ impl SectoredCache {
     /// (unsimulated CTA batches/loops would have streamed unique data
     /// through this cache).
     pub fn pollute(&mut self, line: u64, sector_mask: u8) {
-        self.tick += 1;
-        let base = self.set_of(line) * self.ways;
-        let mut victim = base;
-        for w in 0..self.ways {
-            let i = base + w;
-            if self.tags[i] == line {
-                self.sector_valid[i] |= sector_mask;
-                self.stamp[i] = self.tick;
-                return;
-            }
-            if self.stamp[i] < self.stamp[victim] {
-                victim = i;
+        let stamped = self.stamp(sector_mask);
+        match self.lookup(line) {
+            Ok(i) => self.metas[i] = stamped | (self.metas[i] & 0xF),
+            Err(victim) => {
+                self.tags[victim] = line;
+                self.metas[victim] = stamped;
             }
         }
-        self.tags[victim] = line;
-        self.sector_valid[victim] = sector_mask;
-        self.stamp[victim] = self.tick;
+    }
+
+    /// Leaves the cache as polluting the `capacity_lines()` consecutive
+    /// lines from `first` on, all sectors, one after another would. Any
+    /// `sets × ways` consecutive lines put exactly `ways` lines into each
+    /// set, and each of them evicts the set's least recently stamped way,
+    /// never a newer line of the run; so after the run each set holds
+    /// exactly its own lines of it. They are written here set by set:
+    /// the `w`-th line of a set is `w × sets` lines after its first,
+    /// stamped that many ticks later.
+    pub(crate) fn fill_consecutive(&mut self, first: u64) {
+        let tick0 = self.tick + 1;
+        let first_set = self.set_of(first);
+        for set in 0..self.sets {
+            let offset = ((set + self.sets - first_set) % self.sets) as u64;
+            let ways = set * self.ways..(set + 1) * self.ways;
+            for (w, (tag, meta)) in self.tags[ways.clone()]
+                .iter_mut()
+                .zip(&mut self.metas[ways])
+                .enumerate()
+            {
+                let j = w as u64 * self.sets as u64 + offset;
+                *tag = first + j;
+                *meta = (tick0 + j) << MASK_BITS | 0b1111;
+            }
+        }
+        self.tick += self.capacity_lines() as u64;
     }
 
     /// Advances the LRU clock by `ticks` without touching any way: the
@@ -237,7 +291,10 @@ impl SectoredCache {
             .map(|set| {
                 let ways = set * self.ways..(set + 1) * self.ways;
                 let mut v: Vec<_> = ways
-                    .map(|i| (self.tags[i], self.sector_valid[i], self.stamp[i]))
+                    .map(|i| {
+                        let meta = self.metas[i];
+                        (self.tags[i], meta as u8 & 0xF, meta >> MASK_BITS)
+                    })
                     .collect();
                 v.sort_unstable();
                 v
@@ -248,17 +305,159 @@ impl SectoredCache {
     /// Whether `line` is resident with all of `sector_mask` valid
     /// (read-only probe; no statistics or LRU update).
     pub fn probe(&self, line: u64, sector_mask: u8) -> bool {
-        let base = self.set_of(line) * self.ways;
-        (0..self.ways).any(|w| {
-            self.tags[base + w] == line
-                && (self.sector_valid[base + w] & sector_mask) == sector_mask
-        })
+        self.lookup(line)
+            .is_ok_and(|i| self.metas[i] as u8 & sector_mask == sector_mask)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// The three-array LRU cache [`SectoredCache`] replaced, kept as the
+    /// reference its one-pass lookup must equal: a hit scan over the
+    /// set's tags, then a separate scan of the stamps for the victim.
+    struct ThreeArrayCache {
+        sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        sector_valid: Vec<u8>,
+        stamp: Vec<u64>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl ThreeArrayCache {
+        fn new(capacity_bytes: u64, ways: usize) -> ThreeArrayCache {
+            let sets = ((capacity_bytes / LINE_BYTES) as usize / ways).max(1);
+            ThreeArrayCache {
+                sets,
+                ways,
+                tags: vec![u64::MAX; sets * ways],
+                sector_valid: vec![0; sets * ways],
+                stamp: vec![0; sets * ways],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, line: u64, sector_mask: u8) -> u8 {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            let base = (line % self.sets as u64) as usize * self.ways;
+            for i in base..base + self.ways {
+                if self.tags[i] == line {
+                    let missed = sector_mask & !self.sector_valid[i];
+                    self.sector_valid[i] |= sector_mask;
+                    self.stamp[i] = self.tick;
+                    self.stats.sector_hits += u64::from((sector_mask & !missed).count_ones());
+                    self.stats.sector_misses += u64::from(missed.count_ones());
+                    return missed;
+                }
+            }
+            let mut victim = base;
+            for i in base + 1..base + self.ways {
+                if self.stamp[i] < self.stamp[victim] {
+                    victim = i;
+                }
+            }
+            if self.tags[victim] != u64::MAX {
+                self.stats.evictions += 1;
+            }
+            self.tags[victim] = line;
+            self.sector_valid[victim] = sector_mask;
+            self.stamp[victim] = self.tick;
+            self.stats.sector_misses += u64::from(sector_mask.count_ones());
+            sector_mask
+        }
+
+        fn pollute(&mut self, line: u64, sector_mask: u8) {
+            self.tick += 1;
+            let base = (line % self.sets as u64) as usize * self.ways;
+            let mut victim = base;
+            for i in base..base + self.ways {
+                if self.tags[i] == line {
+                    self.sector_valid[i] |= sector_mask;
+                    self.stamp[i] = self.tick;
+                    return;
+                }
+                if self.stamp[i] < self.stamp[victim] {
+                    victim = i;
+                }
+            }
+            self.tags[victim] = line;
+            self.sector_valid[victim] = sector_mask;
+            self.stamp[victim] = self.tick;
+        }
+
+        fn residency(&self) -> Vec<Vec<(u64, u8, u64)>> {
+            (0..self.sets)
+                .map(|set| {
+                    let ways = set * self.ways..(set + 1) * self.ways;
+                    let mut v: Vec<_> = ways
+                        .map(|i| (self.tags[i], self.sector_valid[i], self.stamp[i]))
+                        .collect();
+                    v.sort_unstable();
+                    v
+                })
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random streams of accesses, pollutions, clock advances and
+        /// full-capacity fills over a few hot lines, a wider pool and
+        /// 32-bit-plus lines, on small geometries (one set included).
+        #[test]
+        fn one_pass_cache_equals_the_three_array_reference(
+            (sets, ways, seed) in (prop_oneof![Just(1usize), 1usize..9], 1usize..9, 0u64..u64::MAX)
+        ) {
+            let capacity = (sets * ways) as u64 * LINE_BYTES;
+            let mut fast = SectoredCache::new(capacity, ways);
+            let mut reference = ThreeArrayCache::new(capacity, ways);
+            let mut rng = TestRng::new(seed);
+            let mut fill_cursor = 1u64 << 40;
+            let mut misses = (Vec::new(), Vec::new());
+            for _ in 0..600 {
+                let line = match rng.below(4) {
+                    0 => rng.below(4),
+                    1 => rng.below(4 * (sets * ways) as u64),
+                    2 => u64::from(u32::MAX) - 2 + rng.below(5),
+                    _ => rng.below(1 << 20),
+                };
+                let mask = 1 + rng.below(15) as u8;
+                match rng.below(20) {
+                    0..=13 => {
+                        misses.0.push(fast.access(line, mask));
+                        misses.1.push(reference.access(line, mask));
+                    }
+                    14..=16 => {
+                        fast.pollute(line, mask);
+                        reference.pollute(line, mask);
+                    }
+                    17..=18 => {
+                        let ticks = rng.below(50);
+                        fast.advance_clock(ticks);
+                        reference.tick += ticks;
+                    }
+                    _ => {
+                        fast.fill_consecutive(fill_cursor);
+                        for j in 0..(sets * ways) as u64 {
+                            reference.pollute(fill_cursor + j, 0b1111);
+                        }
+                        fill_cursor += (sets * ways) as u64 + rng.below(3);
+                    }
+                }
+            }
+            prop_assert_eq!(misses.0, misses.1);
+            prop_assert_eq!(fast.stats(), reference.stats);
+            prop_assert!(fast.residency() == reference.residency());
+        }
+    }
 
     #[test]
     fn cold_miss_then_hit() {

@@ -21,7 +21,7 @@ pub struct Transaction {
 impl Transaction {
     /// Number of sectors this transaction touches.
     pub fn sectors(&self) -> u32 {
-        u32::from(self.sector_mask.count_ones() as u8)
+        crate::cache::sector_count(self.sector_mask) as u32
     }
 }
 

@@ -9,7 +9,7 @@
 //! * **DRAM traffic** = L2 sector misses × 32 B (reads) plus streamed
 //!   OFmap writes.
 
-use crate::cache::{CacheStats, SectoredCache};
+use crate::cache::{sector_count, CacheStats, SectoredCache};
 use crate::coalesce::{self, Transaction};
 use delta_model::{GpuSpec, SECTOR_BYTES};
 use serde::{Deserialize, Serialize};
@@ -125,14 +125,14 @@ impl MemoryHierarchy {
             l1_bytes: coalesce::request_bytes(transactions, self.l1_request_bytes),
             ..TrafficDelta::default()
         };
-        let idx = sm % self.l1s.len();
-        let l1 = &mut self.l1s[idx];
+        debug_assert!(sm < self.l1s.len(), "SM {sm} of {}", self.l1s.len());
+        let l1 = &mut self.l1s[sm];
         for t in transactions {
             let missed = l1.access(t.line, t.sector_mask);
             if missed != 0 {
-                delta.l2_bytes += u64::from(missed.count_ones()) * SECTOR_BYTES;
+                delta.l2_bytes += sector_count(missed) * SECTOR_BYTES;
                 let dram_mask = self.l2.access(t.line, missed);
-                delta.dram_bytes += u64::from(dram_mask.count_ones()) * SECTOR_BYTES;
+                delta.dram_bytes += sector_count(dram_mask) * SECTOR_BYTES;
             }
         }
         self.totals.add(delta);
@@ -166,23 +166,31 @@ impl MemoryHierarchy {
     /// a state that does not depend on anything before the run.
     ///
     /// So a longer run only advances the aging cursor and the L2's LRU
-    /// clock past its first `lines − sets × ways` lines and pollutes the
-    /// final `sets × ways`. Tags, valid masks and stamps come out
-    /// identical to polluting every line. Only the order of ways inside a
-    /// set may differ, and neither lookup nor victim choice can observe
-    /// it (see [`SectoredCache`]). This bounds the cost of one call by
-    /// the L2's capacity instead of the extrapolated volume.
+    /// clock past its first `lines − sets × ways` lines, then writes the
+    /// state the final `sets × ways` leave straight into each set
+    /// (`SectoredCache::fill_consecutive`). Tags, valid masks and
+    /// stamps come out identical to polluting every line. Only the order
+    /// of ways inside a set may differ, and neither lookup nor victim
+    /// choice can observe it (see [`SectoredCache`]). This bounds the
+    /// cost of one call by the L2's capacity instead of the extrapolated
+    /// volume. A shorter run pollutes line by line.
     pub fn age_l2(&mut self, bytes: u64) {
         self.count_aged_l2(bytes);
         let lines = bytes / delta_model::LINE_BYTES;
-        let skipped = lines.saturating_sub(self.l2.capacity_lines() as u64);
+        let capacity = self.l2.capacity_lines() as u64;
+        let skipped = lines.saturating_sub(capacity);
         self.aging_cursor += skipped;
         self.l2.advance_clock(skipped);
-        for _ in skipped..lines {
-            self.aging_cursor += 1;
-            // Distinct lines far above any real tensor address.
-            self.l2.pollute((1 << 40) + self.aging_cursor, 0b1111);
+        // Distinct lines far above any real tensor address.
+        let first = (1 << 40) + self.aging_cursor + 1;
+        if lines >= capacity {
+            self.l2.fill_consecutive(first);
+        } else {
+            for line in first..first + lines {
+                self.l2.pollute(line, 0b1111);
+            }
         }
+        self.aging_cursor += lines - skipped;
     }
 
     /// Records `bytes` of aged-L2 volume in the mergeable statistics

@@ -4,10 +4,14 @@
 //! The simulator pipeline is four stages, each previously inlined in one
 //! monolithic `Simulator::run` loop and now explicit:
 //!
-//! 1. **trace** — [`CtaTrace`] generates the addresses each CTA's warps
-//!    touch in a main-loop iteration (paper Fig. 5 im2col layout);
-//! 2. **coalesce** — [`coalesce::coalesce_warp`] merges each warp's 32
-//!    references into device-granularity transactions;
+//! 1. **trace** — [`CtaTrace`] generates the loads each CTA's warps
+//!    issue in a main-loop iteration (paper Fig. 5 im2col layout);
+//! 2. **coalesce** — each warp's 32 references become device-granularity
+//!    transactions. IFmap warps come out of the trace already coalesced:
+//!    [`CtaTrace::for_each_ifmap_warp`] builds their transactions from
+//!    runs of lanes whose addresses step evenly, equal to
+//!    [`coalesce::coalesce_warp`] over the lane addresses. Filter warps
+//!    are traced lane by lane and coalesced by `coalesce_warp`;
 //! 3. **hierarchy** — [`MemoryHierarchy::warp_load`] runs the
 //!    transactions through the sectored L1/L2 models and counts
 //!    per-level bytes;
@@ -147,14 +151,14 @@ impl<'a> CtaBatch<'a> {
             if let Some((trace, _)) = traces.first_mut() {
                 trace.for_each_filter_warp(loop_idx, |warp| filter_warps.push(warp, tx_buf));
             }
-            // Stages 2+3: coalesce each CTA's IFmap warps and charge the
-            // hierarchy with them, then with the shared filter warps.
+            // Stages 1-3: charge the hierarchy with each CTA's IFmap
+            // warps, traced as transactions, then with the shared filter
+            // warps.
             let mut loop_delta = TrafficDelta::default();
             for (trace, sm) in &mut traces {
                 let sm = *sm as usize;
-                trace.for_each_ifmap_warp(loop_idx, |warp| {
-                    coalesce::coalesce_warp(warp, tx_buf);
-                    loop_delta.add(hier.warp_load(sm, tx_buf));
+                trace.for_each_ifmap_warp(loop_idx, tx_buf, |warp| {
+                    loop_delta.add(hier.warp_load(sm, warp));
                 });
                 for warp in filter_warps.iter() {
                     loop_delta.add(hier.warp_load(sm, warp));

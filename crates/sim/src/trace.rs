@@ -10,12 +10,18 @@
 //!   contiguous weights of one output channel while groups jump between
 //!   distant channels.
 //!
-//! Row coordinates are precomputed per CTA so the per-element cost in the
-//! hot loop is a handful of integer operations.
+//! Row coordinates are precomputed per CTA. An IFmap warp's lanes split
+//! into runs whose addresses form one arithmetic sequence for every
+//! filter element (lanes of one output row step by the stride, lanes of
+//! an FC-shaped layer by one sample), so the IFmap warps come out as
+//! coalesced transactions straight from the runs, with no per-lane
+//! address. Filter warps are traced lane by lane and coalesced by
+//! [`crate::coalesce::coalesce_warp`].
 
+use crate::coalesce::Transaction;
 use crate::tensor::TensorMap;
 use delta_model::tiling::CtaTile;
-use delta_model::{BYTES_PER_ELEMENT, WARP_SIZE};
+use delta_model::{BYTES_PER_ELEMENT, LINE_BYTES, SECTOR_BYTES, WARP_SIZE};
 
 /// Precomputed coordinates of one GEMM row within a CTA tile.
 #[derive(Debug, Clone, Copy)]
@@ -31,12 +37,111 @@ struct RowCoord {
     valid: bool,
 }
 
+/// Consecutive valid lanes of one IFmap warp whose filter windows step
+/// evenly: lane `j` of the run reads the window of sample base
+/// `sample_base + j × d_sample` with top-left `(y0, x0 + j × dx)`. For
+/// any filter element the lanes' addresses then step by
+/// `dx + d_sample` elements, and a border clips a run to a contiguous
+/// lane range.
+#[derive(Debug, Clone, Copy)]
+struct RowRun {
+    sample_base: u64,
+    y0: i64,
+    x0: i64,
+    len: i64,
+    /// Window step per lane along x: the stride for lanes of one output
+    /// row, else 0.
+    dx: i64,
+    /// Sample step per lane: `Ci × Hi × Wi` for lanes of consecutive
+    /// samples (an FC-shaped layer, one output position per sample),
+    /// else 0.
+    d_sample: u64,
+}
+
+impl RowRun {
+    fn new(rc: &RowCoord) -> RowRun {
+        RowRun {
+            sample_base: rc.sample_base,
+            y0: rc.y0,
+            x0: rc.x0,
+            len: 1,
+            dx: 0,
+            d_sample: 0,
+        }
+    }
+
+    /// Appends the row `rc` if it continues the run's sequence; a
+    /// one-lane run takes its step from its second row.
+    fn extend(&mut self, rc: &RowCoord, stride: i64, ci_hw: u64) -> bool {
+        if rc.y0 != self.y0 {
+            return false;
+        }
+        if self.len == 1 {
+            if rc.sample_base == self.sample_base && rc.x0 == self.x0 + stride {
+                self.dx = stride;
+            } else if rc.sample_base == self.sample_base + ci_hw && rc.x0 == self.x0 {
+                self.d_sample = ci_hw;
+            } else {
+                return false;
+            }
+        } else if rc.sample_base != self.sample_base + self.len as u64 * self.d_sample
+            || rc.x0 != self.x0 + self.len * self.dx
+        {
+            return false;
+        }
+        self.len += 1;
+        true
+    }
+
+    /// The run's in-bounds lanes for filter offset `(fy, fx)` of the
+    /// channel at element `chan_base`: the first lane's element index and
+    /// the lane count, or `None` if padding predicates every lane off.
+    #[inline]
+    fn clip(&self, chan_base: u64, fy: i64, fx: i64, hi: u64, wi: u64) -> Option<(u64, u64)> {
+        let iy = self.y0 + fy;
+        if iy < 0 || iy as u64 >= hi {
+            return None;
+        }
+        let (x, wi) = (self.x0 + fx, wi as i64);
+        let (lo, end) = if self.dx == 0 {
+            if x < 0 || x >= wi {
+                return None;
+            }
+            (0, self.len)
+        } else {
+            // Lane j is in bounds iff 0 <= x + j·dx < wi; divide only at
+            // a border.
+            let ceil_div = |a: i64| (a.max(0) as u64).div_ceil(self.dx as u64) as i64;
+            let lo = if x >= 0 { 0 } else { ceil_div(-x) };
+            let end = if x + (self.len - 1) * self.dx < wi {
+                self.len
+            } else {
+                ceil_div(wi - x)
+            };
+            (lo, end)
+        };
+        (lo < end).then(|| {
+            let first = self.sample_base
+                + lo as u64 * self.d_sample
+                + chan_base
+                + iy as u64 * wi as u64
+                + (x + lo * self.dx) as u64;
+            (first, (end - lo) as u64)
+        })
+    }
+}
+
 /// Address-trace generator for one CTA.
 #[derive(Debug)]
 pub struct CtaTrace {
     tile: CtaTile,
     /// First GEMM row/column of this CTA's tile.
     col0: u64,
+    /// The IFmap warps' row runs, warp by warp.
+    runs: Vec<RowRun>,
+    /// End of each IFmap warp's runs in `runs`.
+    warp_ends: Vec<usize>,
+    #[cfg(test)]
     rows: Vec<RowCoord>,
     hi: u64,
     wi: u64,
@@ -55,7 +160,7 @@ impl CtaTrace {
         let row0 = cta_row * u64::from(tile.blk_m());
         let m = map.gemm_m();
         let layer_dims = map.layer_dims();
-        let rows = (0..u64::from(tile.blk_m()))
+        let rows: Vec<RowCoord> = (0..u64::from(tile.blk_m()))
             .map(|r| {
                 let gm = row0 + r;
                 if gm >= m {
@@ -75,9 +180,27 @@ impl CtaTrace {
                 }
             })
             .collect();
+        let mut runs: Vec<RowRun> = Vec::new();
+        let mut warp_ends = Vec::new();
+        for chunk in rows.chunks(WARP_SIZE as usize) {
+            let warp_start = runs.len();
+            for rc in chunk.iter().filter(|rc| rc.valid) {
+                let extended = runs.len() > warp_start
+                    && runs
+                        .last_mut()
+                        .is_some_and(|run| run.extend(rc, layer_dims.stride, layer_dims.ci_hw));
+                if !extended {
+                    runs.push(RowRun::new(rc));
+                }
+            }
+            warp_ends.push(runs.len());
+        }
         CtaTrace {
             tile,
             col0: cta_col * u64::from(tile.blk_n()),
+            runs,
+            warp_ends,
+            #[cfg(test)]
             rows,
             hi: layer_dims.hi,
             wi: layer_dims.wi,
@@ -90,55 +213,55 @@ impl CtaTrace {
         }
     }
 
-    /// Calls `visit` once per global-load warp of main-loop `loop_idx`,
-    /// passing the warp's 32 (optional) byte addresses. IFmap warps come
-    /// first, then filter warps, matching the kernel's load order.
-    pub fn for_each_warp(&mut self, loop_idx: u64, mut visit: impl FnMut(&[Option<u64>])) {
-        self.for_each_ifmap_warp(loop_idx, &mut visit);
-        self.for_each_filter_warp(loop_idx, visit);
+    /// The channel base and filter offsets of GEMM reduction index `k`.
+    #[inline]
+    fn decode_k(&self, k: u64) -> (u64, i64, i64) {
+        let filter_elems = u64::from(self.hf) * u64::from(self.wf);
+        let (c, rem) = (k / filter_elems, k % filter_elems);
+        let fy = (rem / u64::from(self.wf)) as i64;
+        let fx = (rem % u64::from(self.wf)) as i64;
+        (c * self.hi * self.wi, fy, fx)
     }
 
-    /// The IFmap half of [`CtaTrace::for_each_warp`]: one warp is 32
-    /// consecutive rows of one im2col column.
-    pub fn for_each_ifmap_warp(&mut self, loop_idx: u64, mut visit: impl FnMut(&[Option<u64>])) {
+    /// Calls `visit` once per IFmap load warp of main-loop `loop_idx`
+    /// (one warp is 32 consecutive rows of one im2col column), passing
+    /// the warp's coalesced transactions, built in `out`. They are
+    /// exactly [`crate::coalesce::coalesce_warp`] of the warp's 32 lane
+    /// addresses: each run's in-bounds lanes read ascending addresses,
+    /// so their lines come out in first-touch order, and a line only
+    /// needs a search of the warp's earlier lines when it is not above
+    /// every line seen so far.
+    pub fn for_each_ifmap_warp(
+        &self,
+        loop_idx: u64,
+        out: &mut Vec<Transaction>,
+        mut visit: impl FnMut(&[Transaction]),
+    ) {
         let blk_k = u64::from(self.tile.blk_k());
         let k0 = loop_idx * blk_k;
         let k_end = (k0 + blk_k).min(self.gemm_k);
         for k in k0..k_end {
-            let c = k / (u64::from(self.hf) * u64::from(self.wf));
-            let rem = k % (u64::from(self.hf) * u64::from(self.wf));
-            let fy = (rem / u64::from(self.wf)) as i64;
-            let fx = (rem % u64::from(self.wf)) as i64;
-            let chan_base = c * self.hi * self.wi;
-            for chunk in self.rows.chunks(WARP_SIZE as usize) {
-                for (lane, rc) in chunk.iter().enumerate() {
-                    self.warp_buf[lane] = if rc.valid {
-                        let iy = rc.y0 + fy;
-                        let ix = rc.x0 + fx;
-                        if iy >= 0 && ix >= 0 && (iy as u64) < self.hi && (ix as u64) < self.wi {
-                            Some(
-                                (rc.sample_base + chan_base + iy as u64 * self.wi + ix as u64)
-                                    * BYTES_PER_ELEMENT,
-                            )
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
-                    };
+            let (chan_base, fy, fx) = self.decode_k(k);
+            let mut start = 0;
+            for &end in &self.warp_ends {
+                out.clear();
+                let mut max_line = 0;
+                for run in &self.runs[start..end] {
+                    if let Some((first, lanes)) = run.clip(chan_base, fy, fx, self.hi, self.wi) {
+                        let step = (run.dx as u64 + run.d_sample) * BYTES_PER_ELEMENT;
+                        push_lanes(out, &mut max_line, first * BYTES_PER_ELEMENT, step, lanes);
+                    }
                 }
-                for lane in chunk.len()..WARP_SIZE as usize {
-                    self.warp_buf[lane] = None;
-                }
-                visit(&self.warp_buf);
+                start = end;
+                visit(out);
             }
         }
     }
 
-    /// The filter half of [`CtaTrace::for_each_warp`]: one warp is
-    /// `blkK` rows × `32/blkK` columns. It depends only on the CTA's tile
-    /// column, never on its row, so every CTA of a batch (which shares
-    /// one column) yields the same filter warps.
+    /// The filter half of a main loop's loads: one warp is `blkK` rows ×
+    /// `32/blkK` columns. It depends only on the CTA's tile column,
+    /// never on its row, so every CTA of a batch (which shares one
+    /// column) yields the same filter warps.
     pub fn for_each_filter_warp(&mut self, loop_idx: u64, mut visit: impl FnMut(&[Option<u64>])) {
         let k_span = u64::from(self.tile.blk_k());
         let k0 = loop_idx * k_span;
@@ -164,6 +287,114 @@ impl CtaTrace {
     pub fn tile(&self) -> CtaTile {
         self.tile
     }
+
+    /// Calls `visit` once per global-load warp of main-loop `loop_idx`,
+    /// passing the warp's 32 (optional) byte addresses. IFmap warps come
+    /// first, then filter warps, matching the kernel's load order.
+    #[cfg(test)]
+    pub(crate) fn for_each_warp(&mut self, loop_idx: u64, mut visit: impl FnMut(&[Option<u64>])) {
+        self.for_each_ifmap_lane_warp(loop_idx, &mut visit);
+        self.for_each_filter_warp(loop_idx, visit);
+    }
+
+    /// The lane-by-lane IFmap trace [`CtaTrace::for_each_ifmap_warp`]
+    /// replaced, kept as its reference: each warp's 32 lane addresses,
+    /// `None` for padding and rows past the GEMM edge.
+    #[cfg(test)]
+    pub(crate) fn for_each_ifmap_lane_warp(
+        &mut self,
+        loop_idx: u64,
+        mut visit: impl FnMut(&[Option<u64>]),
+    ) {
+        let blk_k = u64::from(self.tile.blk_k());
+        let k0 = loop_idx * blk_k;
+        let k_end = (k0 + blk_k).min(self.gemm_k);
+        for k in k0..k_end {
+            let (chan_base, fy, fx) = self.decode_k(k);
+            for chunk in self.rows.chunks(WARP_SIZE as usize) {
+                for (lane, rc) in chunk.iter().enumerate() {
+                    self.warp_buf[lane] = if rc.valid {
+                        let iy = rc.y0 + fy;
+                        let ix = rc.x0 + fx;
+                        if iy >= 0 && ix >= 0 && (iy as u64) < self.hi && (ix as u64) < self.wi {
+                            Some(
+                                (rc.sample_base + chan_base + iy as u64 * self.wi + ix as u64)
+                                    * BYTES_PER_ELEMENT,
+                            )
+                        } else {
+                            None
+                        }
+                    } else {
+                        None
+                    };
+                }
+                for lane in chunk.len()..WARP_SIZE as usize {
+                    self.warp_buf[lane] = None;
+                }
+                visit(&self.warp_buf);
+            }
+        }
+    }
+}
+
+/// Appends to the warp `out` the transactions of `lanes` lanes reading
+/// ascending byte addresses `first + j × step`, merging each line into
+/// the warp's first-touch order. `max_line` is the highest line in
+/// `out` (ignored while `out` is empty).
+#[inline]
+fn push_lanes(out: &mut Vec<Transaction>, max_line: &mut u64, first: u64, step: u64, lanes: u64) {
+    let sectors_per_line = LINE_BYTES / SECTOR_BYTES;
+    if step <= SECTOR_BYTES {
+        // No step skips a sector: the lanes touch every sector from the
+        // first address's to the last's.
+        let s_first = first / SECTOR_BYTES;
+        let s_last = (first + (lanes - 1) * step) / SECTOR_BYTES;
+        let (l_first, l_last) = (s_first / sectors_per_line, s_last / sectors_per_line);
+        for line in l_first..=l_last {
+            let lo = if line == l_first {
+                s_first % sectors_per_line
+            } else {
+                0
+            };
+            let hi = if line == l_last {
+                s_last % sectors_per_line
+            } else {
+                sectors_per_line - 1
+            };
+            merge_line(out, max_line, line, (0xF << lo) & (0xF >> (3 - hi)));
+        }
+    } else {
+        let mut addr = first;
+        let mut line = addr / LINE_BYTES;
+        let mut mask = 0u8;
+        for _ in 0..lanes {
+            if addr / LINE_BYTES != line {
+                merge_line(out, max_line, line, mask);
+                line = addr / LINE_BYTES;
+                mask = 0;
+            }
+            mask |= 1 << (addr % LINE_BYTES / SECTOR_BYTES);
+            addr += step;
+        }
+        merge_line(out, max_line, line, mask);
+    }
+}
+
+/// Adds sectors `mask` of `line` to the warp `out` as a first-touch
+/// coalescer would: a line above every line so far is new; any other is
+/// merged into its earlier transaction, if one exists.
+#[inline]
+fn merge_line(out: &mut Vec<Transaction>, max_line: &mut u64, line: u64, mask: u8) {
+    if out.is_empty() || line > *max_line {
+        *max_line = line;
+    } else if let Some(t) = out.iter_mut().rev().find(|t| t.line == line) {
+        t.sector_mask |= mask;
+        return;
+    }
+    out.push(Transaction {
+        line,
+        sector_mask: mask,
+    });
 }
 
 /// Cached scalar dimensions extracted from the [`TensorMap`]'s layer.
@@ -182,7 +413,124 @@ pub(crate) struct LayerDims {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delta_model::ConvLayer;
+    use crate::coalesce::coalesce_warp;
+    use delta_model::tiling::LayerTiling;
+    use delta_model::{training, ConvLayer};
+    use proptest::prelude::*;
+
+    /// Every IFmap warp of every CTA row and main loop of `layer` (tiles
+    /// scaled by `2^scale`), from the row runs and from the per-lane
+    /// reference trace coalesced.
+    fn ifmap_warps_both_ways(
+        layer: &ConvLayer,
+        scale: u32,
+    ) -> (Vec<Vec<Transaction>>, Vec<Vec<Transaction>>) {
+        let map = TensorMap::new(layer);
+        let tiling = LayerTiling::with_scale(layer, Some(1 << scale));
+        let tile = tiling.tile();
+        let rows = map.gemm_m().div_ceil(u64::from(tile.blk_m()));
+        let (mut runs, mut lanes) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        for row in 0..rows {
+            let mut tr = CtaTrace::new(&map, tile, row, 0);
+            for loop_idx in 0..tiling.main_loops() {
+                tr.for_each_ifmap_warp(loop_idx, &mut out, |w| runs.push(w.to_vec()));
+                tr.for_each_ifmap_lane_warp(loop_idx, |w| {
+                    coalesce_warp(w, &mut out);
+                    lanes.push(out.clone());
+                });
+            }
+        }
+        (runs, lanes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Strides 1, 2 and 4, padding, maps narrower and wider than a
+        /// warp, ragged M, and the dgrad and wgrad (FC-shaped, any K)
+        /// transforms of each layer.
+        #[test]
+        fn run_transactions_equal_the_coalesced_lane_trace(
+            ((batch, ci, hw, co), (filter, stride, pad, pass, scale)) in (
+                (1u32..4, 1u32..6, 1u32..36, 1u32..80),
+                (
+                    prop_oneof![Just(1u32), Just(3), Just(5), Just(7)],
+                    prop_oneof![Just(1u32), Just(2), Just(4)],
+                    0u32..4,
+                    0u8..3,
+                    0u32..2,
+                ),
+            )
+        ) {
+            let base = ConvLayer::builder("runs")
+                .batch(batch)
+                .input(ci, hw + filter - 1, hw + filter + 2)
+                .output_channels(co)
+                .filter(filter, filter)
+                .stride(stride)
+                .pad(pad.min(filter - 1))
+                .build()
+                .unwrap();
+            let layer = match pass {
+                0 => base,
+                1 => training::dgrad_layer(&base).unwrap(),
+                _ => training::wgrad_layer(&base).unwrap(),
+            };
+            let (runs, lanes) = ifmap_warps_both_ways(&layer, scale);
+            prop_assert_eq!(runs, lanes);
+        }
+    }
+
+    /// The shapes the runs are built for, and their borders, one by one:
+    /// both stride-2 borders of a 7×7 map, a 1×1 stride-2 projection, a
+    /// 1×3 map whose second warp starts on a sample's last lane (the
+    /// next lane is the next sample, but not one sample step away), and
+    /// a wgrad GEMM whose K = 49 leaves a one-column last loop.
+    #[test]
+    fn run_transactions_cover_the_named_shapes() {
+        let conv = |ci, hw, f, stride, pad| {
+            ConvLayer::builder("named")
+                .batch(12)
+                .input(ci, hw, hw)
+                .output_channels(40)
+                .filter(f, f)
+                .stride(stride)
+                .pad(pad)
+                .build()
+                .unwrap()
+        };
+        let k49 = ConvLayer::builder("k49")
+            .batch(1)
+            .input(16, 7, 7)
+            .output_channels(32)
+            .filter(3, 3)
+            .pad(1)
+            .build()
+            .unwrap();
+        let wgrad = training::wgrad_layer(&k49).unwrap();
+        assert_eq!(wgrad.gemm_k(), 49);
+        let row_map = ConvLayer::builder("1x3")
+            .batch(12)
+            .input(4, 1, 3)
+            .output_channels(40)
+            .filter(1, 1)
+            .build()
+            .unwrap();
+        for layer in [
+            row_map,
+            conv(8, 7, 3, 1, 1),
+            conv(8, 7, 3, 2, 1),
+            conv(16, 14, 1, 2, 0),
+            conv(3, 35, 7, 4, 3),
+            training::dgrad_layer(&conv(8, 7, 3, 2, 1)).unwrap(),
+            wgrad,
+        ] {
+            let (runs, lanes) = ifmap_warps_both_ways(&layer, 0);
+            assert!(runs.iter().any(|w| !w.is_empty()), "{}", layer.label());
+            assert_eq!(runs, lanes, "{}", layer.label());
+        }
+    }
 
     fn trace_for(layer: &ConvLayer, cta_row: u64, cta_col: u64) -> (TensorMap, CtaTrace) {
         let map = TensorMap::new(layer);
@@ -361,7 +709,7 @@ mod tests {
                             "co={co} row={row}"
                         );
                         let mut split = Vec::new();
-                        tr.for_each_ifmap_warp(loop_idx, |w| split.extend_from_slice(w));
+                        tr.for_each_ifmap_lane_warp(loop_idx, |w| split.extend_from_slice(w));
                         split.extend(filter);
                         assert_eq!(collect_addrs(&mut tr, loop_idx), split, "co={co} row={row}");
                     }

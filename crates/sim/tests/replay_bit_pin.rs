@@ -1,13 +1,14 @@
 //! Bit pins of the replay's answers.
 //!
-//! Every field of the [`Measurement`] of seven layers is pinned as a
+//! Every field of the [`Measurement`] of ten layers is pinned as a
 //! literal: the f64 fields by `to_bits()`, the rest as integers. The
 //! layers are a ragged conv, AlexNet conv1, a dgrad and a wgrad pass, a
 //! tensor-core GEMM on A100, a column taller than the batch sampling
-//! keeps, and a V100 layer, each under both sampling configurations and
-//! through both the sequential and the sharded replay. A change to the
-//! replay's hot path that claims to be exact must leave every literal as
-//! it is.
+//! keeps, and a V100 layer; then, each on TITAN Xp and on V100, a 7×7
+//! pad-1 3×3 conv, a 1×1 stride-2 projection and a wgrad with K = 49.
+//! Each runs under both sampling configurations and through both the
+//! sequential and the sharded replay. A change to the replay's hot path
+//! that claims to be exact must leave every literal as it is.
 //!
 //! On a mismatch the test prints the whole table in the literal syntax
 //! below; a deliberate change of the simulated physics re-captures it from
@@ -48,7 +49,30 @@ const PINS: &[(&str, [u64; 11])] = &[
     ("conv_v100/default/run", [0x412b921800000000, 0x4110f5c000000000, 0x40f84b8000000000, 0x40fc200000000000, 0x3fd3c448718f6b32, 0x3fd71441928c289d, 0x40dee5879d56d398, 0x1, 0x4, 0x4, 0x5]),
     ("conv_v100/default/sharded2", [0x412b921800000000, 0x4110f5c000000000, 0x40f84b8000000000, 0x40fc200000000000, 0x3fd3c448718f6b32, 0x3fd71441928c289d, 0x40dee5879d56d399, 0x1, 0x4, 0x4, 0x5]),
     ("conv_v100/exhaustive/run", [0x412b954000000000, 0x4110e78000000000, 0x40f80c0000000000, 0x40fc200000000000, 0x3fd39c7b72109618, 0x3fd6c2af299ddbf9, 0x40dedbabca3c0eea, 0x0, 0x4, 0x4, 0x5]),
-    ("conv_v100/exhaustive/sharded2", [0x412b954000000000, 0x4110e78000000000, 0x40f80c0000000000, 0x40fc200000000000, 0x3fd39c7b72109618, 0x3fd6c2af299ddbf9, 0x40dedbabca3c0eeb, 0x0, 0x4, 0x4, 0x5]),
+    ("conv_v100/exhaustive/sharded2", [0x412b954000000000, 0x4110e78000000000, 0x40f80c0000000000, 0x40fc200000000000, 0x3fd39c7b72109618, 0x3fd6c2af299ddbf9, 0x40dedbabca3c0eeb, 0x0, 0x4, 0x4, 0x5]),    ("conv7_pad1/titan_xp/default/run", [0x411d258000000000, 0x40e5910000000000, 0x40e5910000000000, 0x40cea00000000000, 0x3fd079ddd864b346, 0x3ff0000000000000, 0x40dfc4c00e90452b, 0x1, 0x1, 0x1, 0x5]),
+    ("conv7_pad1/titan_xp/default/sharded2", [0x411d258000000000, 0x40e5910000000000, 0x40e5910000000000, 0x40cea00000000000, 0x3fd079ddd864b346, 0x3ff0000000000000, 0x40dfc4c00e90452b, 0x1, 0x1, 0x1, 0x5]),
+    ("conv7_pad1/titan_xp/exhaustive/run", [0x411d160000000000, 0x40e5780000000000, 0x40e5780000000000, 0x40cea00000000000, 0x3fd04fc704219ed8, 0x3ff0000000000000, 0x40dfbf7bca4c00e3, 0x0, 0x1, 0x1, 0x5]),
+    ("conv7_pad1/titan_xp/exhaustive/sharded2", [0x411d160000000000, 0x40e5780000000000, 0x40e5780000000000, 0x40cea00000000000, 0x3fd04fc704219ed8, 0x3ff0000000000000, 0x40dfbf7bca4c00e3, 0x0, 0x1, 0x1, 0x5]),
+    ("conv7_pad1/v100/default/run", [0x41050a2000000000, 0x40e5910000000000, 0x40e5910000000000, 0x40cea00000000000, 0x3fd079ddd864b346, 0x3ff0000000000000, 0x40e09f1efdd25f9a, 0x1, 0x1, 0x1, 0x5]),
+    ("conv7_pad1/v100/default/sharded2", [0x41050a2000000000, 0x40e5910000000000, 0x40e5910000000000, 0x40cea00000000000, 0x3fd079ddd864b346, 0x3ff0000000000000, 0x40e09f1efdd25f99, 0x1, 0x1, 0x1, 0x5]),
+    ("conv7_pad1/v100/exhaustive/run", [0x41050f0000000000, 0x40e5780000000000, 0x40e5780000000000, 0x40cea00000000000, 0x3fd04fc704219ed8, 0x3ff0000000000000, 0x40e09c0865714c62, 0x0, 0x1, 0x1, 0x5]),
+    ("conv7_pad1/v100/exhaustive/sharded2", [0x41050f0000000000, 0x40e5780000000000, 0x40e5780000000000, 0x40cea00000000000, 0x3fd04fc704219ed8, 0x3ff0000000000000, 0x40e09c0865714c62, 0x0, 0x1, 0x1, 0x5]),
+    ("proj_1x1_s2/titan_xp/default/run", [0x4100100000000000, 0x40e5800000000000, 0x40e5800000000000, 0x40d8800000000000, 0x3fe9b8396ba9de81, 0x3ff0000000000000, 0x40c2a6daa2a81e38, 0x0, 0x1, 0x1, 0x5]),
+    ("proj_1x1_s2/titan_xp/default/sharded2", [0x4100100000000000, 0x40e5800000000000, 0x40e5800000000000, 0x40d8800000000000, 0x3fe9b8396ba9de81, 0x3ff0000000000000, 0x40c2a6daa2a81e39, 0x0, 0x1, 0x1, 0x5]),
+    ("proj_1x1_s2/titan_xp/exhaustive/run", [0x4100100000000000, 0x40e5800000000000, 0x40e5800000000000, 0x40d8800000000000, 0x3fe9b8396ba9de81, 0x3ff0000000000000, 0x40c2a6daa2a81e38, 0x0, 0x1, 0x1, 0x5]),
+    ("proj_1x1_s2/titan_xp/exhaustive/sharded2", [0x4100100000000000, 0x40e5800000000000, 0x40e5800000000000, 0x40d8800000000000, 0x3fe9b8396ba9de81, 0x3ff0000000000000, 0x40c2a6daa2a81e39, 0x0, 0x1, 0x1, 0x5]),
+    ("proj_1x1_s2/v100/default/run", [0x40eac00000000000, 0x40e5800000000000, 0x40e5800000000000, 0x40d8800000000000, 0x3fe9b8396ba9de81, 0x3ff0000000000000, 0x40c56a4ddf47ba6b, 0x0, 0x1, 0x1, 0x5]),
+    ("proj_1x1_s2/v100/default/sharded2", [0x40eac00000000000, 0x40e5800000000000, 0x40e5800000000000, 0x40d8800000000000, 0x3fe9b8396ba9de81, 0x3ff0000000000000, 0x40c56a4ddf47ba6b, 0x0, 0x1, 0x1, 0x5]),
+    ("proj_1x1_s2/v100/exhaustive/run", [0x40eac00000000000, 0x40e5800000000000, 0x40e5800000000000, 0x40d8800000000000, 0x3fe9b8396ba9de81, 0x3ff0000000000000, 0x40c56a4ddf47ba6b, 0x0, 0x1, 0x1, 0x5]),
+    ("proj_1x1_s2/v100/exhaustive/sharded2", [0x40eac00000000000, 0x40e5800000000000, 0x40e5800000000000, 0x40d8800000000000, 0x3fe9b8396ba9de81, 0x3ff0000000000000, 0x40c56a4ddf47ba6b, 0x0, 0x1, 0x1, 0x5]),
+    ("wgrad_k49/titan_xp/default/run", [0x412f180000000000, 0x40e3e80000000000, 0x40e0d80000000000, 0x40d2000000000000, 0x3fc3f1f8fc7e3f20, 0x3feb13b13b13b13b, 0x40c45252223a72ba, 0x0, 0x2, 0x2, 0xb]),
+    ("wgrad_k49/titan_xp/default/sharded2", [0x412f180000000000, 0x40e3e80000000000, 0x40e0d80000000000, 0x40d2000000000000, 0x3fc3f1f8fc7e3f20, 0x3feb13b13b13b13b, 0x40c45252223a72ba, 0x0, 0x2, 0x2, 0xb]),
+    ("wgrad_k49/titan_xp/exhaustive/run", [0x412f180000000000, 0x40e3e80000000000, 0x40e0d80000000000, 0x40d2000000000000, 0x3fc3f1f8fc7e3f20, 0x3feb13b13b13b13b, 0x40c45252223a72ba, 0x0, 0x2, 0x2, 0xb]),
+    ("wgrad_k49/titan_xp/exhaustive/sharded2", [0x412f180000000000, 0x40e3e80000000000, 0x40e0d80000000000, 0x40d2000000000000, 0x3fc3f1f8fc7e3f20, 0x3feb13b13b13b13b, 0x40c45252223a72ba, 0x0, 0x2, 0x2, 0xb]),
+    ("wgrad_k49/v100/default/run", [0x410ff00000000000, 0x40e3e80000000000, 0x40e0d80000000000, 0x40d2000000000000, 0x3fc3f1f8fc7e3f20, 0x3feb13b13b13b13b, 0x40c301a2902189fd, 0x0, 0x2, 0x2, 0xb]),
+    ("wgrad_k49/v100/default/sharded2", [0x410ff00000000000, 0x40e3e80000000000, 0x40e0d80000000000, 0x40d2000000000000, 0x3fc3f1f8fc7e3f20, 0x3feb13b13b13b13b, 0x40c301a2902189fe, 0x0, 0x2, 0x2, 0xb]),
+    ("wgrad_k49/v100/exhaustive/run", [0x410ff00000000000, 0x40e3e80000000000, 0x40e0d80000000000, 0x40d2000000000000, 0x3fc3f1f8fc7e3f20, 0x3feb13b13b13b13b, 0x40c301a2902189fd, 0x0, 0x2, 0x2, 0xb]),
+    ("wgrad_k49/v100/exhaustive/sharded2", [0x410ff00000000000, 0x40e3e80000000000, 0x40e0d80000000000, 0x40d2000000000000, 0x3fc3f1f8fc7e3f20, 0x3feb13b13b13b13b, 0x40c301a2902189fe, 0x0, 0x2, 0x2, 0xb]),
 ];
 
 /// A conv whose GEMM is ragged on every axis: M = 507 (not a multiple of
@@ -104,6 +128,45 @@ fn tall_column() -> ConvLayer {
         .unwrap()
 }
 
+/// A 3×3 pad-1 conv on a 7×7 map: every output row is a run of 7
+/// lanes, so each 32-row warp spans five rows, clipped at both borders.
+fn conv7_pad1() -> ConvLayer {
+    ConvLayer::builder("conv7")
+        .batch(2)
+        .input(24, 7, 7)
+        .output_channels(40)
+        .filter(3, 3)
+        .pad(1)
+        .build()
+        .unwrap()
+}
+
+/// A 1×1 stride-2 projection (ResNet downsampling shortcut): lanes of
+/// one output row step by two elements.
+fn projection_1x1_s2() -> ConvLayer {
+    ConvLayer::builder("proj")
+        .batch(2)
+        .input(32, 14, 14)
+        .output_channels(64)
+        .filter(1, 1)
+        .stride(2)
+        .build()
+        .unwrap()
+}
+
+/// The batch-1 twin of [`conv7_pad1`], whose wgrad GEMM has
+/// K = B·Ho·Wo = 49, not a multiple of blkK = 8.
+fn conv7_pad1_b1() -> ConvLayer {
+    ConvLayer::builder("conv7_b1")
+        .batch(1)
+        .input(16, 7, 7)
+        .output_channels(32)
+        .filter(3, 3)
+        .pad(1)
+        .build()
+        .unwrap()
+}
+
 fn cases() -> Vec<(&'static str, GpuSpec, ConvLayer)> {
     vec![
         ("ragged_conv", GpuSpec::titan_xp(), ragged_conv()),
@@ -135,6 +198,24 @@ fn cases() -> Vec<(&'static str, GpuSpec, ConvLayer)> {
                 .pad(1)
                 .build()
                 .unwrap(),
+        ),
+        ("conv7_pad1/titan_xp", GpuSpec::titan_xp(), conv7_pad1()),
+        ("conv7_pad1/v100", GpuSpec::v100(), conv7_pad1()),
+        (
+            "proj_1x1_s2/titan_xp",
+            GpuSpec::titan_xp(),
+            projection_1x1_s2(),
+        ),
+        ("proj_1x1_s2/v100", GpuSpec::v100(), projection_1x1_s2()),
+        (
+            "wgrad_k49/titan_xp",
+            GpuSpec::titan_xp(),
+            training::wgrad_layer(&conv7_pad1_b1()).unwrap(),
+        ),
+        (
+            "wgrad_k49/v100",
+            GpuSpec::v100(),
+            training::wgrad_layer(&conv7_pad1_b1()).unwrap(),
         ),
     ]
 }
