@@ -58,17 +58,13 @@ use std::sync::Mutex;
 
 pub use crate::query::LayerShape;
 
-/// The persistent cache format revision this engine writes. v3 adds a
-/// second entry kind — whole-step evaluations keyed on
+/// The persistent cache format revision this engine writes and reads.
+/// v3 adds a second entry kind — whole-step evaluations keyed on
 /// [`StepQuery::fingerprint`] — next to v2's per-layer query entries.
-/// v1 (the pre-query format keyed on `(shape, pass, devices)`) cannot
-/// express shard/topology axes and is refused with a clear error.
+/// Every other revision is refused with a clear error: v1 (the
+/// pre-query format keyed on `(shape, pass, devices)`) cannot express
+/// shard/topology axes, and v2 files are simply regenerated.
 pub const CACHE_FORMAT_VERSION: u32 = 3;
-
-/// The oldest persistent format this engine still reads. v2 files load
-/// read-compatibly: their per-layer entries are accepted as-is and the
-/// step-entry section is simply absent.
-pub const CACHE_FORMAT_READ_FLOOR: u32 = 2;
 
 /// One cached result: the query that produced it (kept so the persistent
 /// cache can write structured keys) and the estimate.
@@ -371,13 +367,12 @@ impl<B: Backend> Engine<B> {
     /// Loaded results are served as cache hits; the backend is never
     /// consulted for them. Three guards apply, in order:
     ///
-    /// 1. **format version** — v3 files load in full; v2 files load
-    ///    read-compatibly (their per-layer entries are accepted, the
-    ///    step section is absent). A file without a `version` field is
-    ///    the pre-query v1 format and is refused with a "cache format
-    ///    v1, expected v3" error (its `(shape, pass, devices)` keys
-    ///    cannot express the query axes); versions newer than v3 are
-    ///    refused too;
+    /// 1. **format version** — only v3 files load. A file without a
+    ///    `version` field is the pre-query v1 format and is refused with
+    ///    a "cache format v1, expected v3" error (its `(shape, pass,
+    ///    devices)` keys cannot express the query axes); any other
+    ///    version, v2 included, is refused with "cache format vN,
+    ///    expected v3";
     /// 2. **backend/GPU/sampling fingerprint** — the header must match
     ///    this engine's backend exactly (these knobs are not part of the
     ///    query key);
@@ -431,24 +426,21 @@ impl<B: Backend> Engine<B> {
         // step entries, then the fingerprint.
         let header = Value::Map(fields);
         match header.get("version") {
-            Some(Value::U64(v))
-                if (u64::from(CACHE_FORMAT_READ_FLOOR)..=u64::from(CACHE_FORMAT_VERSION))
-                    .contains(v) => {}
+            Some(Value::U64(v)) if *v == u64::from(CACHE_FORMAT_VERSION) => {}
             None => {
                 return Err(invalid(format!(
                     "cache file {} is cache format v1 (pre-query, no `version` field), \
-                     expected v{CACHE_FORMAT_VERSION} (v{CACHE_FORMAT_READ_FLOOR} files are \
-                     still read): its (shape, pass, devices) keys cannot express the query's \
-                     shard/interconnect/topology axes — delete the file and let this binary \
-                     regenerate it",
+                     expected v{CACHE_FORMAT_VERSION}: its (shape, pass, devices) keys cannot \
+                     express the query's shard/interconnect/topology axes — delete the file \
+                     and let this binary regenerate it",
                     path.display()
                 )))
             }
             Some(other) => {
                 return Err(invalid(format!(
                     "cache file {} is cache format v{}, expected \
-                     v{CACHE_FORMAT_VERSION} (v{CACHE_FORMAT_READ_FLOOR} files load \
-                     read-compatibly)",
+                     v{CACHE_FORMAT_VERSION} — delete the file and let this binary \
+                     regenerate it",
                     path.display(),
                     match other {
                         Value::U64(v) => v.to_string(),
@@ -475,12 +467,13 @@ impl<B: Backend> Engine<B> {
                 Vec::from_value(header.get("entries").ok_or_else(|| missing("entries"))?)
             })
             .map_err(|e| malformed(&e))?;
-        // v2 files have no step section.
         let step_entries = step_entries
             .unwrap_or_else(|| {
-                header
-                    .get("step_entries")
-                    .map_or(Ok(Vec::new()), Vec::from_value)
+                Vec::from_value(
+                    header
+                        .get("step_entries")
+                        .ok_or_else(|| missing("step_entries"))?,
+                )
             })
             .map_err(|e| malformed(&e))?;
         // The compatibility decision is the shared fingerprint triple
@@ -1317,13 +1310,12 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("cache format v1"), "{msg}");
         assert!(msg.contains("expected v3"), "{msg}");
-        assert!(msg.contains("v2"), "refusal names the read floor: {msg}");
         // Nothing was loaded.
         engine.evaluate(&fwd(&conv("x", 16, 14, 32))).unwrap();
         assert_eq!(engine.cache_stats().misses, 1);
 
-        // A future version number is refused too, mentioning both the
-        // written version and the read floor.
+        // A future version number is refused too, naming both the
+        // file's version and the expected one.
         std::fs::write(
             &path,
             r#"{"version": 4, "backend": "model", "gpu": "TITAN Xp", "config": "", "entries": []}"#,
@@ -1332,14 +1324,12 @@ mod tests {
         let err = engine.load_cache(&path).unwrap_err();
         assert!(err.to_string().contains("v4"), "{err}");
         assert!(err.to_string().contains("expected v3"), "{err}");
-        assert!(err.to_string().contains("v2"), "{err}");
     }
 
     #[test]
-    fn v2_cache_files_load_read_compatibly() {
-        // A v2 file is a v3 file minus the step-entry section: its
-        // per-layer entries must load and serve hits, with no step
-        // entries present.
+    fn v2_cache_files_are_refused_naming_v3() {
+        // A v2 file is a v3 file minus the step-entry section. It is
+        // refused like any other wrong version, and nothing loads.
         let dir = std::env::temp_dir().join("delta_engine_cache_v2_test");
         std::fs::create_dir_all(&dir).unwrap();
         let v3_path = dir.join("v3.json");
@@ -1347,8 +1337,7 @@ mod tests {
         let net = repeated_net();
         let engine = Engine::new(Delta::new(GpuSpec::titan_xp()));
         engine.evaluate_network(&net, &Parallelism::Single).unwrap();
-        let saved = engine.save_cache(&v3_path).unwrap();
-        assert_eq!(saved, 2, "two unique shapes");
+        assert_eq!(engine.save_cache(&v3_path).unwrap(), 2, "two unique shapes");
 
         // Rewrite the saved file as a faithful v2 document: version 2,
         // no `step_entries` field at all.
@@ -1367,10 +1356,22 @@ mod tests {
         std::fs::write(&v2_path, serde_json::to_string(&doc).unwrap()).unwrap();
 
         let fresh = Engine::new(Delta::new(GpuSpec::titan_xp()));
-        assert_eq!(fresh.load_cache(&v2_path).unwrap(), 2);
+        let err = fresh.load_cache(&v2_path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("cache format v2, expected v3"), "{msg}");
         fresh.evaluate_network(&net, &Parallelism::Single).unwrap();
-        assert_eq!(fresh.cache_stats().misses, 0, "served from the v2 file");
-        assert_eq!(fresh.cache_stats().hits, net.len() as u64);
+        assert_eq!(
+            fresh.cache_stats().misses,
+            2,
+            "nothing loaded from the v2 file"
+        );
+
+        // A v3 file without its step section is malformed, not a v2.
+        let text = serde_json::to_string(&doc).unwrap();
+        std::fs::write(&v2_path, text.replacen("\"version\":2", "\"version\":3", 1)).unwrap();
+        let err = fresh.load_cache(&v2_path).unwrap_err();
+        assert!(err.to_string().contains("step_entries"), "{err}");
     }
 
     #[test]

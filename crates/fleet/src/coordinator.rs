@@ -1,22 +1,21 @@
-//! The coordinator: partitions a query's replay into the plan's own
-//! work units, fans the jobs over executor connections, and merges the
-//! returned parts through the simulator's validated merge entry points.
+//! The coordinator: runs a query's replay units on executor processes.
+//! It hands the simulator a fleet-backed [`ReplaySource`]; the simulator
+//! splits the query into units, and the coordinator turns each unit
+//! into jobs, fans them over executor connections, and returns one part
+//! per unit.
 //!
 //! # Why the distributed answer is bitwise identical
 //!
-//! The coordinator never invents a decomposition. It asks the planning
-//! simulator for the exact [`ShardPlan`](delta_sim::ShardPlan) the
-//! in-process `run_sharded`/`run_multi` path would use
-//! ([`Simulator::shard_plan`]), turns each of the plan's tile columns
-//! into one [`JobMsg`], and merges the replies with
-//! [`Simulator::merge_column_replays`], which regroups the parts by the
-//! plan's own shard boundaries and runs the *same* merge code as the
-//! local path. Which executor computed which unit, in which order, and
-//! how many times is therefore invisible to the result. Query assembly
-//! (validation, pass transforms, the wgrad all-reduce surcharge, step
-//! schedules) is not repeated here either: the coordinator hands a
-//! [`ReplaySource`] to [`Simulator::evaluate_with`] and
-//! [`Simulator::evaluate_step_with`].
+//! The coordinator never invents a decomposition and never merges.
+//! [`Simulator::evaluate_with`] and [`Simulator::evaluate_step_with`]
+//! build the units (a whole layer, or one shard's run of tile columns)
+//! exactly as the in-process path does, and fold the returned parts
+//! through the same merge. The coordinator only maps a unit to jobs (one
+//! `Sequential` job per whole layer, one `Column` job per tile column)
+//! and the replies back to parts, and executors run the same unit body
+//! ([`Simulator::replay_unit`]) as a local worker thread. Which executor
+//! computed which job, in which order, and how many times is therefore
+//! invisible to the result.
 //!
 //! # Robustness
 //!
@@ -35,13 +34,11 @@ use crate::protocol::{
     read_frame, write_frame, Hello, HelloReply, JobKind, JobMsg, JobReply, PROTOCOL_VERSION,
 };
 use delta_model::{
-    Backend, BackendFingerprint, ConvLayer, Error, EvalQuery, GpuSpec, LayerEstimate, LayerShape,
-    Parallelism, StepEvaluation, StepQuery,
+    Backend, BackendFingerprint, Error, EvalQuery, GpuSpec, LayerEstimate, LayerShape,
+    StepEvaluation, StepQuery,
 };
 use delta_obs::{span, CorrelationGuard, Counter, Registry, SpanEvent};
-use delta_sim::{
-    ColumnReplay, Measurement, MultiGpuMeasurement, ReplaySource, ShardedRun, Simulator,
-};
+use delta_sim::{ReplayPart, ReplaySource, ReplayUnit, Simulator};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io;
@@ -118,10 +115,11 @@ pub struct FleetStatsSnapshot {
 /// in-process [`Simulator`] — bitwise — by fanning unit replays over a
 /// fleet of executor processes.
 ///
-/// The embedded simulator never replays whole layers; it is the
-/// *planner* (tilings, shard plans, merge validation, step assembly)
+/// The embedded simulator never replays anything itself; it splits
+/// queries into units, folds the returned parts and assembles steps,
 /// and must be configured identically to the executors' simulators —
-/// the handshake enforces exactly that.
+/// the handshake enforces exactly that. Its replay counter counts one
+/// replay per folded layer, as an in-process simulator's does.
 #[derive(Debug)]
 pub struct Coordinator {
     sim: Simulator,
@@ -195,8 +193,8 @@ impl Coordinator {
     }
 
     /// Registers the fleet counters (the same atomics behind
-    /// [`Self::stats`]) plus the planning simulator's replay counter
-    /// in `registry` under `delta_fleet_*` names.
+    /// [`Self::stats`]) under `delta_fleet_*` names, plus the planning
+    /// simulator's replay counter as `delta_sim_replays_total`.
     pub fn register_metrics(&self, registry: &Registry) {
         registry.register_counter(
             "delta_fleet_jobs_dispatched_total",
@@ -230,7 +228,7 @@ impl Coordinator {
         );
         registry.register_counter(
             "delta_sim_replays_total",
-            "Full-layer replays run by the planning simulator",
+            "Full-layer replays folded from executor parts",
             &[],
             &self.sim.replay_counter(),
         );
@@ -276,7 +274,7 @@ impl Coordinator {
 
     /// Fans `jobs` over the fleet and returns one reply per job, in job
     /// order. Job ids are the indices into `jobs`, so replies land in
-    /// the pinned unit order the merge entry points validate.
+    /// the pinned unit order the simulator's merge validates.
     ///
     /// # Errors
     ///
@@ -483,19 +481,6 @@ impl Coordinator {
     }
 }
 
-/// One wire job of `kind` for the layer `shape` describes (ids,
-/// correlation and tracing are filled in by [`Coordinator::run_jobs`]).
-fn job(shape: LayerShape, kind: JobKind, col: u64) -> JobMsg {
-    JobMsg {
-        id: 0,
-        shape,
-        kind,
-        col,
-        corr: 0,
-        trace: false,
-    }
-}
-
 /// How one dispatch ended.
 enum Outcome {
     /// The job's reply was recorded (by this read loop or a duplicate).
@@ -506,59 +491,51 @@ enum Outcome {
     Fatal(Error),
 }
 
-/// The fleet-backed [`ReplaySource`]: batches every layer's unit jobs
-/// into **one** board drain, so a whole step's replays interleave
-/// across the fleet instead of running layer-by-layer.
+/// The fleet-backed [`ReplaySource`]: every unit's jobs go into **one**
+/// board drain, so a whole step's replays interleave across the fleet
+/// instead of running layer-by-layer. A `Layer` unit is one
+/// `Sequential` job; a `Columns` unit is one `Column` job per column.
 #[derive(Debug, Clone, Copy)]
 struct FleetReplays<'a>(&'a Coordinator);
 
-impl FleetReplays<'_> {
-    /// Runs each layer's job list through one shared board and merges
-    /// per layer with `merge`.
-    fn batched<T>(
-        &self,
-        batches: Vec<Vec<JobMsg>>,
-        merge: impl Fn(usize, Vec<JobReply>) -> Result<T, Error>,
-    ) -> Result<Vec<T>, Error> {
-        let mut all = Vec::new();
-        let mut starts = Vec::with_capacity(batches.len());
-        for jobs in batches {
-            starts.push(all.len());
-            all.extend(jobs);
-        }
-        let mut replies = self.0.run_jobs(all)?;
-        let _span = span!("fleet.merge", layers = starts.len());
-        let mut out = Vec::with_capacity(starts.len());
-        for (i, &start) in starts.iter().enumerate().rev() {
-            let tail = replies.split_off(start);
-            out.push(merge(i, tail)?);
-        }
-        out.reverse();
-        Ok(out)
-    }
-
-    /// Distributed [`Simulator::run_sharded_detail`] for every layer:
-    /// one `Column` job per tile column, merged per layer through the
-    /// simulator's validated entry point — bitwise identical to the
-    /// in-process run for every executor count.
-    fn sharded(&self, layers: &[&ConvLayer], n_workers: u32) -> Result<Vec<ShardedRun>, Error> {
-        let sim = &self.0.sim;
-        let batches = layers
+impl ReplaySource for FleetReplays<'_> {
+    fn replay(&self, units: &[ReplayUnit<'_>]) -> Result<Vec<ReplayPart>, Error> {
+        // Ids, correlation and tracing are filled in by `run_jobs`.
+        let job = |u: &ReplayUnit<'_>, kind, col| JobMsg {
+            id: 0,
+            shape: LayerShape::of(u.layer()),
+            kind,
+            col,
+            corr: 0,
+            trace: false,
+        };
+        let jobs: Vec<JobMsg> = units
             .iter()
-            .map(|l| {
-                let shape = LayerShape::of(l);
-                (0..sim.shard_plan(l, n_workers).columns())
-                    .map(|col| job(shape, JobKind::Column, col))
-                    .collect()
+            .flat_map(|u| match u {
+                ReplayUnit::Layer(_) => vec![job(u, JobKind::Sequential, 0)],
+                ReplayUnit::Columns(_, cols) => cols
+                    .clone()
+                    .map(|col| job(u, JobKind::Column, col))
+                    .collect(),
             })
             .collect();
-        self.batched(batches, |i, replies| {
-            let parts: Vec<ColumnReplay> = replies
-                .into_iter()
-                .map(|r| r.column.ok_or_else(|| missing_part("column")))
-                .collect::<Result<_, _>>()?;
-            sim.merge_column_replays(layers[i], n_workers, parts)
-        })
+        let mut replies = self.0.run_jobs(jobs)?.into_iter();
+        units
+            .iter()
+            .map(|u| match u {
+                ReplayUnit::Layer(_) => replies
+                    .next()
+                    .and_then(|r| r.sequential)
+                    .map(ReplayPart::Layer)
+                    .ok_or_else(|| missing_part("sequential")),
+                ReplayUnit::Columns(_, cols) => replies
+                    .by_ref()
+                    .take((cols.end - cols.start) as usize)
+                    .map(|r| r.column.ok_or_else(|| missing_part("column")))
+                    .collect::<Result<_, _>>()
+                    .map(ReplayPart::Columns),
+            })
+            .collect()
     }
 }
 
@@ -568,45 +545,6 @@ fn missing_part(what: &str) -> Error {
     Error::Fleet {
         context: "merge".into(),
         reason: format!("executor answered a {what} job without a {what} part"),
-    }
-}
-
-impl ReplaySource for FleetReplays<'_> {
-    fn measure_all(
-        &self,
-        layers: &[&ConvLayer],
-        parallelism: &Parallelism,
-    ) -> Result<Vec<Measurement>, Error> {
-        if let Parallelism::Sharded { workers } = parallelism {
-            let runs = self.sharded(layers, (*workers).max(1))?;
-            return Ok(runs.into_iter().map(|r| r.measurement).collect());
-        }
-        let batches = layers
-            .iter()
-            .map(|l| vec![job(LayerShape::of(l), JobKind::Sequential, 0)])
-            .collect();
-        self.batched(batches, |_, mut replies| {
-            replies
-                .remove(0)
-                .sequential
-                .ok_or_else(|| missing_part("sequential"))
-        })
-    }
-
-    fn multi_all(
-        &self,
-        layers: &[&ConvLayer],
-        devices: u32,
-        interconnect: delta_model::InterconnectKind,
-        topology: Option<delta_model::TopologyKind>,
-    ) -> Result<Vec<MultiGpuMeasurement>, Error> {
-        let g = devices.max(1);
-        let runs = self.sharded(layers, g)?;
-        Ok(layers
-            .iter()
-            .zip(runs)
-            .map(|(l, run)| self.0.sim.multi_from_run(l, run, g, interconnect, topology))
-            .collect())
     }
 }
 

@@ -5,9 +5,9 @@
 //! cross-job state. It handshakes (refusing any coordinator whose
 //! [`BackendFingerprint`] differs from its own), then answers each
 //! [`JobMsg`] with the corresponding unit replay — `Sequential` or
-//! `Column` — computed by exactly the entry points the in-process
-//! sharded runner uses. All the distributed-systems
-//! intelligence (partitioning, retry, merge) lives in the
+//! `Column` — computed by the same unit body
+//! ([`Simulator::replay_unit`]) the in-process replay runs. Partitioning
+//! and merging live in the coordinator's simulator, retries in the
 //! [`coordinator`](crate::coordinator); executors can therefore be
 //! killed, restarted, and duplicated freely without affecting the
 //! merged result.
@@ -23,7 +23,7 @@ use crate::protocol::{
 };
 use delta_model::BackendFingerprint;
 use delta_obs::span;
-use delta_sim::Simulator;
+use delta_sim::{ReplayPart, ReplayUnit, Simulator};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -366,26 +366,25 @@ fn traced_answer(sim: &Simulator, job: &JobMsg) -> JobReply {
     reply
 }
 
-/// Runs one job through the simulator's unit-replay entry points.
+/// Runs one job through the simulator's unit body
+/// ([`Simulator::replay_unit`], which counts no replay: the
+/// coordinator's fold counts each layer once).
 fn answer(sim: &Simulator, job: &JobMsg) -> JobReply {
     let layer = match job.shape.to_layer() {
         Ok(l) => l,
         Err(e) => return JobReply::failure(job.id, format!("invalid job shape: {e}")),
     };
-    let mut reply = JobReply::success(job.id);
-    let outcome = match job.kind {
-        JobKind::Sequential => {
-            reply.sequential = Some(sim.run(&layer));
-            Ok(())
-        }
-        JobKind::Column => sim.replay_column_unit(&layer, job.col).map(|part| {
-            reply.column = Some(part);
-        }),
+    let unit = match job.kind {
+        JobKind::Sequential => ReplayUnit::Layer(&layer),
+        JobKind::Column => ReplayUnit::Columns(&layer, job.col..job.col.saturating_add(1)),
     };
-    match outcome {
-        Ok(()) => reply,
-        Err(e) => JobReply::failure(job.id, e.to_string()),
+    let mut reply = JobReply::success(job.id);
+    match sim.replay_unit(&unit) {
+        Ok(ReplayPart::Layer(m)) => reply.sequential = Some(m),
+        Ok(ReplayPart::Columns(mut parts)) => reply.column = parts.pop(),
+        Err(e) => return JobReply::failure(job.id, e.to_string()),
     }
+    reply
 }
 
 #[cfg(test)]

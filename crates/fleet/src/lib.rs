@@ -2,26 +2,25 @@
 //! worker *processes* with a bitwise-exact merge.
 //!
 //! The trace-driven simulator's sharded replay is built on an
-//! associative merge contract: every tile column (or, for narrow
-//! layers, every column sub-range) replays against private state, and
-//! the per-unit results merge in pinned ascending-unit order into a
-//! result **bitwise identical for every worker count** (PRs 2 and 6).
-//! That contract is exactly what makes scale-past-one-process fan-out
-//! safe, and this crate is its service form, mirroring the
-//! coordinator/executor shape of the lloom exemplar:
+//! associative merge contract: every tile column replays against
+//! private state, and the per-column results merge in pinned
+//! ascending-column order into a result **bitwise identical for every
+//! worker count** (PRs 2 and 6). That contract is exactly what makes
+//! scale-past-one-process fan-out safe, and this crate is its service
+//! form, mirroring the coordinator/executor shape of the lloom
+//! exemplar:
 //!
 //! * [`executor`] — a long-running daemon (`delta executor --addr`)
 //!   that owns one [`Simulator`](delta_sim::Simulator) and answers
 //!   unit-replay jobs over TCP;
-//! * [`coordinator`] — takes an
+//! * [`coordinator`] — a [`ReplaySource`](delta_sim::ReplaySource)
+//!   over the executors: the simulator answering an
 //!   [`EvalQuery`](delta_model::query::EvalQuery) /
-//!   [`StepQuery`](delta_model::query::StepQuery), partitions the
-//!   replay into the plan's own work units
-//!   ([`Simulator::shard_plan`](delta_sim::Simulator::shard_plan)),
-//!   fans the jobs over the executors, and merges returned parts
-//!   through the simulator's validated merge entry points — so the
-//!   distributed answer is bitwise identical to the single-process
-//!   `run_sharded` / `run_multi` one;
+//!   [`StepQuery`](delta_model::query::StepQuery) splits it into replay
+//!   units, the coordinator fans their jobs over the executors and
+//!   returns the parts, and the simulator folds them exactly as it
+//!   folds in-process parts — so the distributed answer is bitwise
+//!   identical to the single-process one;
 //! * [`protocol`] — the length-prefixed JSON wire format (vendored
 //!   serde_json over `std::net`, no external dependencies): handshake,
 //!   job, and result schemas, documented in `docs/FLEET.md`.

@@ -87,18 +87,19 @@ pub struct HelloReply {
     pub version: String,
 }
 
-/// Job kind: which replay entry point the executor runs. A plain enum
-/// (not data-carrying) so the vendored derive handles it; the unit
-/// coordinates live beside it in [`JobMsg`].
+/// Job kind: which replay unit the executor runs through
+/// [`Simulator::replay_unit`](delta_sim::Simulator::replay_unit). A
+/// plain enum (not data-carrying) so the vendored derive handles it;
+/// the unit coordinates live beside it in [`JobMsg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobKind {
     /// Whole-layer sequential replay
-    /// ([`Simulator::run`](delta_sim::Simulator::run)):
-    /// the `Parallelism::Single` job. `col` is ignored.
+    /// ([`ReplayUnit::Layer`](delta_sim::ReplayUnit::Layer)): the
+    /// `Parallelism::Single` job. `col` is ignored.
     Sequential,
     /// One tile column
-    /// ([`Simulator::replay_column_unit`](delta_sim::Simulator::replay_column_unit)):
-    /// the unit of every sharded and multi-device replay.
+    /// ([`ReplayUnit::Columns`](delta_sim::ReplayUnit::Columns) of
+    /// length one): the unit of every sharded and multi-device replay.
     Column,
 }
 
@@ -396,6 +397,122 @@ mod tests {
         let hello: Hello = read_frame(&mut frame_raw(old_hello).as_slice()).unwrap();
         assert_eq!(hello.protocol, 1);
         assert!(hello.version.is_empty(), "missing version decodes empty");
+    }
+
+    /// Every object key in `v`, as dotted paths in document order.
+    fn key_paths(v: &serde::Value, prefix: &str, out: &mut Vec<String>) {
+        match v {
+            serde::Value::Map(fields) => {
+                for (k, child) in fields {
+                    let path = format!("{prefix}{k}");
+                    out.push(path.clone());
+                    key_paths(child, &format!("{path}."), out);
+                }
+            }
+            serde::Value::Seq(items) => {
+                if let Some(first) = items.first() {
+                    key_paths(first, &format!("{prefix}[]."), out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn job_and_reply_frames_are_pinned() {
+        // Revision 2 on the wire, byte for byte: a change to any of
+        // these literals is a protocol change and bumps
+        // PROTOCOL_VERSION.
+        let frame = |msg: &JobMsg| {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, msg).unwrap();
+            let body = String::from_utf8(buf[4..].to_vec()).unwrap();
+            assert_eq!(buf[..4], (body.len() as u32).to_be_bytes());
+            body
+        };
+        let job = |kind, col| JobMsg {
+            id: 7,
+            shape: shape(),
+            kind,
+            col,
+            corr: 42,
+            trace: true,
+        };
+        assert_eq!(
+            frame(&job(JobKind::Sequential, 0)),
+            "{\"id\":7,\"shape\":{\"batch\":2,\"in_channels\":16,\"in_height\":8,\"in_width\":8,\
+             \"out_channels\":32,\"filter_height\":3,\"filter_width\":3,\"stride\":1,\"pad\":1},\
+             \"kind\":\"Sequential\",\"col\":0,\"corr\":42,\"trace\":true}"
+        );
+        assert_eq!(
+            frame(&job(JobKind::Column, 3)),
+            "{\"id\":7,\"shape\":{\"batch\":2,\"in_channels\":16,\"in_height\":8,\"in_width\":8,\
+             \"out_channels\":32,\"filter_height\":3,\"filter_width\":3,\"stride\":1,\"pad\":1},\
+             \"kind\":\"Column\",\"col\":3,\"corr\":42,\"trace\":true}"
+        );
+        assert_eq!(
+            serde_json::to_string(&JobReply::failure(4, "boom".into())).unwrap(),
+            "{\"id\":4,\"ok\":false,\"error\":\"boom\",\"sequential\":null,\"column\":null,\
+             \"spans\":[]}"
+        );
+        assert_eq!(
+            serde_json::to_string(&JobReply::success(5)).unwrap(),
+            "{\"id\":5,\"ok\":true,\"error\":null,\"sequential\":null,\"column\":null,\
+             \"spans\":[]}"
+        );
+
+        // A success reply carrying each payload: every field name the
+        // merge reads, nested ones included.
+        let sim = delta_sim::Simulator::new(
+            delta_model::GpuSpec::titan_xp(),
+            delta_sim::SimConfig::default(),
+        );
+        let layer = shape().to_layer().unwrap();
+        let mut reply = JobReply::success(6);
+        reply.sequential = Some(sim.run(&layer));
+        let Ok(delta_sim::ReplayPart::Columns(mut column)) =
+            sim.replay_unit(&delta_sim::ReplayUnit::Columns(&layer, 0..1))
+        else {
+            panic!("a column unit answers column parts");
+        };
+        reply.column = column.pop();
+        reply.spans = vec![WireSpan {
+            id: 1,
+            parent: 0,
+            name: "fleet.execute".into(),
+            ts_us: 2,
+            dur_us: 3,
+            pid: 4,
+            tid: 5,
+            corr: 42,
+            args: vec![("job".into(), "6".into())],
+        }];
+        let tree: serde::Value =
+            serde_json::from_str(&serde_json::to_string(&reply).unwrap()).unwrap();
+        let mut keys = Vec::new();
+        key_paths(&tree, "", &mut keys);
+        assert_eq!(
+            keys.join(" "),
+            "id ok error sequential sequential.l1_bytes sequential.l2_bytes \
+             sequential.dram_read_bytes sequential.dram_write_bytes sequential.l1_miss_rate \
+             sequential.l2_miss_rate sequential.cycles sequential.sampled \
+             sequential.simulated_ctas sequential.total_ctas sequential.active_ctas column \
+             column.col column.stats column.stats.[].traffic column.stats.[].traffic.l1_bytes \
+             column.stats.[].traffic.l2_bytes column.stats.[].traffic.dram_bytes \
+             column.stats.[].store_bytes column.stats.[].cycles column.stats.[].loop_extrapolated \
+             column.simulated_ctas column.sampled column.extrapolated column.extrapolated.l1_bytes \
+             column.extrapolated.l2_bytes column.extrapolated.dram_bytes \
+             column.extrapolated.store_bytes column.snapshot column.snapshot.reads \
+             column.snapshot.reads.l1_bytes column.snapshot.reads.l2_bytes \
+             column.snapshot.reads.dram_bytes column.snapshot.l1 column.snapshot.l1.accesses \
+             column.snapshot.l1.sector_hits column.snapshot.l1.sector_misses \
+             column.snapshot.l1.evictions column.snapshot.l2 column.snapshot.l2.accesses \
+             column.snapshot.l2.sector_hits column.snapshot.l2.sector_misses \
+             column.snapshot.l2.evictions column.snapshot.l2_write_bytes \
+             column.snapshot.dram_write_bytes column.snapshot.aged_l2_bytes column.cycles spans \
+             spans.[].id spans.[].parent spans.[].name spans.[].ts_us spans.[].dur_us spans.[].pid \
+             spans.[].tid spans.[].corr spans.[].args"
+        );
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //!   times from the multi-GPU replay's per-device critical path,
 //!   all-reduce durations from the query's interconnect/topology, bucket
 //!   size and overlap from the [`StepQuery`]. The per-layer table and
-//!   the timeline come from **one** replay per unique shape.
+//!   the timeline come from **one** replay per unique shape;
+//! * the replay seam: the simulator splits the replayed layers into
+//!   [`ReplayUnit`]s, a [`ReplaySource`] runs them (in-process,
+//!   [`LocalReplays`], or on a fleet) and the simulator folds the
+//!   parts back into each layer's measurement.
 //!
 //! The resulting [`StepTimeline`] satisfies
 //! `max(compute, comm) <= step <= serial` *exactly in floating point*
@@ -32,8 +36,9 @@
 //! communication chain), which is what lets the tests assert the bound
 //! bitwise.
 
-use crate::multigpu::MultiGpuMeasurement;
-use crate::sim::{add_wgrad_all_reduce, Simulator};
+use crate::sim::{
+    all_reduce_on, all_reduce_pricing_of, charge_all_reduce, ColumnReplay, Simulator,
+};
 use crate::topology::Topology;
 use delta_model::backend::{serial_step_spans, LayerEstimate};
 use delta_model::engine::{LayerShape, TrainingRow, TrainingStepEvaluation};
@@ -42,6 +47,7 @@ use delta_model::schedule::{bucket_label, DeviceTimeline, Span, SpanKind, StepTi
 use delta_model::{training, ConvLayer, Error};
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::ops::Range;
 
 // The bucketizer moved into the core crate (cache v3's step-cache
 // relabeling needs it to rebuild all-reduce span labels on a hit);
@@ -179,114 +185,154 @@ struct PassWorkloads {
     grad_bytes: u64,
 }
 
-/// Where an evaluation's per-layer replays come from. The query
-/// assembly ([`Simulator::evaluate_with`] for one layer;
-/// [`Simulator::evaluate_step_with`] for pass expansion, shape dedup
-/// and the bucketed schedule) is identical whether the replays run
-/// in-process or on a fleet of executor processes; only this source
-/// differs. Implementations must
-/// return one result per input layer, in input order, and produce
-/// measurements bitwise identical to the local
-/// [`Simulator::run_sharded`]/[`Simulator::run_multi`] paths — the fleet's
-/// merge contract.
-pub trait ReplaySource {
-    /// Measures every layer under `Single`/`Sharded` parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Propagates replay failures (a fleet source adds dispatch and
-    /// merge failures).
-    fn measure_all(
-        &self,
-        layers: &[&ConvLayer],
-        parallelism: &Parallelism,
-    ) -> Result<Vec<crate::Measurement>, Error>;
-
-    /// Measures every layer as a `devices`-wide multi-GPU replay under
-    /// the given fabric.
-    ///
-    /// # Errors
-    ///
-    /// Propagates replay failures (a fleet source adds dispatch and
-    /// merge failures).
-    fn multi_all(
-        &self,
-        layers: &[&ConvLayer],
-        devices: u32,
-        interconnect: crate::interconnect::InterconnectKind,
-        topology: Option<crate::topology::TopologyKind>,
-    ) -> Result<Vec<MultiGpuMeasurement>, Error>;
+/// One unit of replay work: what a [`ReplaySource`] runs and what one
+/// [`ReplayPart`] answers. [`Simulator`] alone decides how a query's
+/// layers split into units and how their parts fold back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReplayUnit<'a> {
+    /// A whole layer, its tile columns drained in order through one
+    /// shared hierarchy: the `Parallelism::Single` unit (the fleet's
+    /// `Sequential` job).
+    Layer(&'a ConvLayer),
+    /// One [`ShardPlan`](crate::ShardPlan) shard's run of tile columns,
+    /// each replayed on a cold private hierarchy: the unit of every
+    /// sharded and multi-device replay (the fleet sends one `Column` job
+    /// per column).
+    Columns(&'a ConvLayer, Range<u64>),
 }
 
-/// The in-process [`ReplaySource`]: replays fan across this process's
-/// cores via rayon — the default behind
-/// [`Backend::evaluate_step`](delta_model::backend::Backend::evaluate_step)
-/// for [`Simulator`].
+impl ReplayUnit<'_> {
+    /// The layer the unit replays.
+    pub fn layer(&self) -> &ConvLayer {
+        match self {
+            ReplayUnit::Layer(l) | ReplayUnit::Columns(l, _) => l,
+        }
+    }
+}
+
+/// One unit's result, shaped like its [`ReplayUnit`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReplayPart {
+    /// A `Layer` unit's measurement.
+    Layer(crate::Measurement),
+    /// A `Columns` unit's merge parts, one per column in ascending
+    /// order.
+    Columns(Vec<ColumnReplay>),
+}
+
+/// Where an evaluation's replays run. The query assembly
+/// ([`Simulator::evaluate_with`] for one layer;
+/// [`Simulator::evaluate_step_with`] for pass expansion, shape dedup
+/// and the bucketed schedule), the split into units and the fold of
+/// the parts are identical whether the units run in-process or on a
+/// fleet of executor processes; only this source differs.
+pub trait ReplaySource {
+    /// Replays `units`, returning one part per unit, in input order. A
+    /// conforming source returns exactly what
+    /// [`Simulator::replay_unit`] returns for each unit, so every
+    /// folded answer is bitwise the in-process one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay failures (a fleet source adds dispatch
+    /// failures).
+    fn replay(&self, units: &[ReplayUnit<'_>]) -> Result<Vec<ReplayPart>, Error>;
+}
+
+/// The in-process [`ReplaySource`] behind [`Simulator`]'s
+/// [`Backend`](delta_model::backend::Backend) answers: layers fan
+/// across this process's cores via rayon, and a layer's shards (its
+/// adjacent units) run as parallel lanes only outside another parallel
+/// region.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalReplays<'a>(pub &'a Simulator);
 
 impl ReplaySource for LocalReplays<'_> {
-    fn measure_all(
-        &self,
-        layers: &[&ConvLayer],
-        parallelism: &Parallelism,
-    ) -> Result<Vec<crate::Measurement>, Error> {
-        let run_one = |l: &ConvLayer| match parallelism {
-            Parallelism::Sharded { workers } => self.0.run_sharded(l, (*workers).max(1)),
-            _ => self.0.run(l),
+    fn replay(&self, units: &[ReplayUnit<'_>]) -> Result<Vec<ReplayPart>, Error> {
+        let layers: Vec<&[ReplayUnit<'_>]> = units
+            .chunk_by(|a, b| std::ptr::eq(a.layer(), b.layer()))
+            .collect();
+        let lanes = |shards: &&[ReplayUnit<'_>]| -> Vec<Result<ReplayPart, Error>> {
+            // Inside another parallel region (the engine's layer fan-out
+            // already saturates the cores), spawning a second tier of
+            // workers only oversubscribes the machine: walk the shards
+            // on this thread instead. Parts are identical either way.
+            if rayon::current_thread_index().is_some() {
+                shards.iter().map(|u| self.0.replay_unit(u)).collect()
+            } else {
+                shards.par_iter().map(|u| self.0.replay_unit(u)).collect()
+            }
         };
-        Ok(layers.par_iter().map(|l| run_one(l)).collect())
-    }
-
-    fn multi_all(
-        &self,
-        layers: &[&ConvLayer],
-        devices: u32,
-        interconnect: crate::interconnect::InterconnectKind,
-        topology: Option<crate::topology::TopologyKind>,
-    ) -> Result<Vec<MultiGpuMeasurement>, Error> {
-        Ok(layers
-            .par_iter()
-            .map(|l| self.0.run_multi(l, devices, interconnect, topology))
-            .collect())
+        let parts: Vec<Vec<_>> = layers.par_iter().map(lanes).collect();
+        parts.into_iter().flatten().collect()
     }
 }
 
+/// One replayed layer, as the query assembly reads it.
+#[derive(Debug)]
+pub(crate) struct LayerRun {
+    /// The layer's estimate, link charges included.
+    estimate: LayerEstimate,
+    /// Wall seconds of its critical path: the busiest device plus halo
+    /// transfers under `Multi`.
+    step_seconds: f64,
+}
+
 impl Simulator {
-    /// Answers one [`StepQuery`]: the per-layer forward/dgrad/wgrad
-    /// table *and* the scheduled timeline, both derived from **one**
-    /// replay per unique transformed layer shape (the memoized map PR 4
-    /// kept private to the timeline now feeds the table too, which is
-    /// what halves `--overlap on`'s cost).
-    ///
-    /// Under [`Parallelism::Multi`], per-pass compute times are the
-    /// multi-GPU replay's per-device critical path
-    /// ([`MultiGpuMeasurement::step_seconds`]: busiest device plus halo
-    /// transfers); gradient payloads are the layers' filter footprints;
-    /// all-reduce durations come from the query's
-    /// interconnect/topology, with the topology graph built once for
-    /// the whole step. The returned timeline always satisfies
-    /// [`StepTimeline::bounds_hold`]. Under `Single`/`Sharded`, the
-    /// rows come from the corresponding on-device replay and the
-    /// timeline is the serial compute schedule (no communication
-    /// stream).
+    /// The one replay path behind every query: `Single` replays each
+    /// layer whole, `Sharded { n }` merges its columns at `n` workers,
+    /// and `Multi { g }` merges them at `g` and prices the fabric.
     ///
     /// # Errors
     ///
-    /// Propagates GPU validation and backward-pass construction
-    /// failures.
-    pub(crate) fn evaluate_step_query(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {
-        self.evaluate_step_with(query, &LocalReplays(self))
+    /// Rejects a heterogeneous `Multi` fleet; propagates source and
+    /// merge failures.
+    pub(crate) fn replay_layers(
+        &self,
+        layers: &[&ConvLayer],
+        parallelism: &Parallelism,
+        source: &impl ReplaySource,
+    ) -> Result<Vec<LayerRun>, Error> {
+        let workers = match parallelism {
+            Parallelism::Single => None,
+            Parallelism::Sharded { workers } => Some((*workers).max(1)),
+            Parallelism::Multi { devices, .. } => {
+                self.require_homogeneous(devices)?;
+                Some((devices.len() as u32).max(1))
+            }
+        };
+        let runs = self.replay_runs(layers, workers, source)?;
+        Ok(layers
+            .iter()
+            .zip(runs)
+            .map(|(l, run)| match parallelism {
+                Parallelism::Multi {
+                    interconnect,
+                    topology,
+                    ..
+                } => {
+                    let g = workers.unwrap_or(1);
+                    let m = self.multi_from_run(l, run, g, *interconnect, *topology);
+                    LayerRun {
+                        estimate: m.to_estimate(self.gpu()),
+                        step_seconds: m.step_seconds(self.gpu()),
+                    }
+                }
+                _ => LayerRun {
+                    estimate: run.measurement.to_estimate(self.gpu()),
+                    step_seconds: run.measurement.seconds(self.gpu()),
+                },
+            })
+            .collect())
     }
 
     /// Answers one [`EvalQuery`] with the replay source made explicit:
     /// validation, the pass transform, the homogeneity check and the
-    /// wgrad all-reduce surcharge run here, and `replays` supplies the
-    /// one measurement — in-process ([`LocalReplays`], behind
-    /// [`Backend::evaluate`](delta_model::backend::Backend::evaluate))
+    /// wgrad all-reduce surcharge run here, and `replays` runs the
+    /// units of the one replayed layer — in-process ([`LocalReplays`],
+    /// behind [`Backend::evaluate`](delta_model::backend::Backend::evaluate))
     /// or distributed across a fleet. A conforming source returns the
-    /// local measurement bitwise, so the estimate is bitwise identical
-    /// too.
+    /// local parts bitwise, so the estimate is bitwise identical too.
     ///
     /// # Errors
     ///
@@ -299,44 +345,53 @@ impl Simulator {
     ) -> Result<LayerEstimate, Error> {
         self.gpu().validate()?;
         let layer = query.layer()?;
-        let replayed = Simulator::pass_workload(&layer, query.pass)?;
-        let Parallelism::Multi {
+        // Executors see only the transformed shape; the pass is applied
+        // here.
+        let replayed = match query.pass {
+            Pass::Fwd => layer.clone(),
+            Pass::Dgrad => training::dgrad_layer(&layer)?,
+            Pass::Wgrad => training::wgrad_layer(&layer)?,
+        };
+        let mut runs = self.replay_layers(&[&replayed], &query.parallelism, replays)?;
+        let mut est = runs.remove(0).estimate;
+        if let Parallelism::Multi {
             devices,
             interconnect,
             topology,
         } = &query.parallelism
-        else {
-            let mut m = replays.measure_all(&[&replayed], &query.parallelism)?;
-            return Ok(m.remove(0).to_estimate(self.gpu()));
-        };
-        self.require_homogeneous(devices)?;
-        let g = (devices.len() as u32).max(1);
-        let mut m = replays.multi_all(&[&replayed], g, *interconnect, *topology)?;
-        let mut est = m.remove(0).to_estimate(self.gpu());
-        if query.pass == Pass::Wgrad {
-            // On top of the wgrad GEMM replay, a data-parallel step
-            // all-reduces the original layer's weight gradients once
-            // across the devices.
-            add_wgrad_all_reduce(
-                &mut est,
-                self.gpu(),
-                *interconnect,
-                *topology,
-                layer.filter_bytes() as f64,
-                g,
-            );
+        {
+            if query.pass == Pass::Wgrad {
+                // On top of the wgrad GEMM replay, a data-parallel step
+                // all-reduces the original layer's weight gradients once
+                // across the devices.
+                let g = (devices.len() as u32).max(1);
+                let filter_bytes = layer.filter_bytes() as f64;
+                let priced = all_reduce_pricing_of(*interconnect, *topology, filter_bytes, g);
+                charge_all_reduce(&mut est, self.gpu(), priced);
+            }
         }
         Ok(est)
     }
 
-    /// The step evaluation with the replay source made
-    /// explicit: the step assembly (pass expansion, shape dedup,
-    /// all-reduce pricing, bucketed schedule) runs here, and `replays`
-    /// supplies the per-layer measurements — in-process
-    /// ([`LocalReplays`]) or distributed across a fleet. Because a
-    /// conforming source returns measurements bitwise identical to the
-    /// local ones, the assembled table and timeline are bitwise
-    /// identical too.
+    /// The step evaluation with the replay source made explicit: the
+    /// step assembly (pass expansion, shape dedup, all-reduce pricing,
+    /// bucketed schedule) runs here, and `replays` runs the units of
+    /// the unique replayed shapes — in-process ([`LocalReplays`]) or
+    /// distributed across a fleet. Because a conforming source returns
+    /// parts bitwise identical to the local ones, the assembled table
+    /// and timeline are bitwise identical too.
+    ///
+    /// Under [`Parallelism::Multi`], per-pass compute times are the
+    /// multi-GPU replay's per-device critical path
+    /// ([`step_seconds`](crate::MultiGpuMeasurement::step_seconds):
+    /// busiest device plus halo transfers); gradient payloads are the
+    /// layers' filter footprints; all-reduce durations come from the
+    /// query's interconnect/topology, with the topology graph built
+    /// once for the whole step. The returned timeline always satisfies
+    /// [`StepTimeline::bounds_hold`]. Under `Single`/`Sharded`, the
+    /// rows come from the corresponding on-device replay and the
+    /// timeline is the serial compute schedule (no communication
+    /// stream).
     ///
     /// # Errors
     ///
@@ -385,115 +440,153 @@ impl Simulator {
             }
         }
 
-        let table = |rows: Vec<TrainingRow>| TrainingStepEvaluation {
-            backend: "sim".to_string(),
-            gpu: self.gpu().name().to_string(),
-            rows,
+        // One replay per unique shape — the single source both views
+        // below are derived from.
+        let runs = self.replay_layers(&unique, &query.parallelism, replays)?;
+        let of = |l: &ConvLayer| &runs[index[&LayerShape::of(l)]];
+        let mut rows: Vec<TrainingRow> = passes
+            .iter()
+            .map(|p| TrainingRow {
+                label: p.label.clone(),
+                forward: of(&p.fwd).estimate.clone(),
+                dgrad: p.dgrad.as_ref().map(|d| of(d).estimate.clone()),
+                wgrad: of(&p.wgrad).estimate.clone(),
+            })
+            .collect();
+        let timeline = if let Parallelism::Multi {
+            devices,
+            interconnect,
+            topology,
+        } = &query.parallelism
+        {
+            let g = (devices.len() as u32).max(1);
+            // The graph is a function of (kind, devices) only: build it
+            // once for the whole step and share it between the per-row
+            // all-reduce charges and the scheduler, instead of
+            // rebuilding per layer or per bucket.
+            let base = interconnect.params();
+            let topo = topology.map(|kind| Topology::build(kind, g));
+            let all_reduce = |payload: f64| all_reduce_on(&base, topo.as_ref(), payload, g);
+            for (row, p) in rows.iter_mut().zip(&passes) {
+                charge_all_reduce(&mut row.wgrad, self.gpu(), all_reduce(p.grad_bytes as f64));
+            }
+            let layer_passes: Vec<LayerPasses> = passes
+                .iter()
+                .map(|p| LayerPasses {
+                    label: p.label.clone(),
+                    forward_seconds: of(&p.fwd).step_seconds,
+                    dgrad_seconds: p.dgrad.as_ref().map(|d| of(d).step_seconds),
+                    wgrad_seconds: of(&p.wgrad).step_seconds,
+                    grad_bytes: p.grad_bytes,
+                })
+                .collect();
+            schedule_step(
+                "sim",
+                self.gpu().name(),
+                g,
+                &layer_passes,
+                u64::from(query.bucket_mb) << 20,
+                query.overlap,
+                |bytes| all_reduce(bytes).1,
+            )
+        } else {
+            let spans = serial_step_spans(&query.layers, &rows);
+            StepTimeline::serial_compute("sim", self.gpu().name(), 1, spans)
         };
-
-        match &query.parallelism {
-            Parallelism::Multi {
-                devices,
-                interconnect,
-                topology,
-            } => {
-                self.require_homogeneous(devices)?;
-                let g = (devices.len() as u32).max(1);
-                // One replay per unique shape — the single source both
-                // views below are derived from.
-                let runs: Vec<MultiGpuMeasurement> =
-                    replays.multi_all(&unique, g, *interconnect, *topology)?;
-                let of = |l: &ConvLayer| &runs[index[&LayerShape::of(l)]];
-
-                // The graph is a function of (kind, devices) only: build
-                // it once for the whole step and share it between the
-                // per-row all-reduce charges and the scheduler, instead
-                // of rebuilding per layer or per bucket.
-                let base = interconnect.params();
-                let topo = topology.map(|kind| Topology::build(kind, g));
-                let all_reduce = |payload: f64| match &topo {
-                    None => (
-                        base.all_reduce_bytes(payload, g),
-                        base.all_reduce_seconds(payload, g),
-                    ),
-                    Some(t) => (
-                        t.all_reduce_bytes(&base, payload),
-                        t.all_reduce_seconds(&base, payload),
-                    ),
-                };
-
-                let rows: Vec<TrainingRow> = passes
-                    .iter()
-                    .map(|p| TrainingRow {
-                        label: p.label.clone(),
-                        forward: of(&p.fwd).to_estimate(self.gpu()),
-                        dgrad: p.dgrad.as_ref().map(|d| of(d).to_estimate(self.gpu())),
-                        wgrad: {
-                            let mut est = of(&p.wgrad).to_estimate(self.gpu());
-                            let (ar_bytes, ar_seconds) = all_reduce(p.grad_bytes as f64);
-                            est.link_bytes += ar_bytes;
-                            est.seconds += ar_seconds;
-                            est.cycles += self.gpu().seconds_to_clks(ar_seconds);
-                            est
-                        },
-                    })
-                    .collect();
-
-                let layer_passes: Vec<LayerPasses> = passes
-                    .iter()
-                    .map(|p| LayerPasses {
-                        label: p.label.clone(),
-                        forward_seconds: of(&p.fwd).step_seconds(self.gpu()),
-                        dgrad_seconds: p.dgrad.as_ref().map(|d| of(d).step_seconds(self.gpu())),
-                        wgrad_seconds: of(&p.wgrad).step_seconds(self.gpu()),
-                        grad_bytes: p.grad_bytes,
-                    })
-                    .collect();
-                let timeline = schedule_step(
-                    "sim",
-                    self.gpu().name(),
-                    g,
-                    &layer_passes,
-                    u64::from(query.bucket_mb) << 20,
-                    query.overlap,
-                    |bytes| all_reduce(bytes).1,
-                );
-                Ok(StepEvaluation {
-                    table: table(rows),
-                    timeline,
-                })
-            }
-            Parallelism::Single | Parallelism::Sharded { .. } => {
-                let runs: Vec<crate::Measurement> =
-                    replays.measure_all(&unique, &query.parallelism)?;
-                let of = |l: &ConvLayer| runs[index[&LayerShape::of(l)]].to_estimate(self.gpu());
-                let rows: Vec<TrainingRow> = passes
-                    .iter()
-                    .map(|p| TrainingRow {
-                        label: p.label.clone(),
-                        forward: of(&p.fwd),
-                        dgrad: p.dgrad.as_ref().map(&of),
-                        wgrad: of(&p.wgrad),
-                    })
-                    .collect();
-                let timeline = StepTimeline::serial_compute(
-                    "sim",
-                    self.gpu().name(),
-                    1,
-                    serial_step_spans(&query.layers, &rows),
-                );
-                Ok(StepEvaluation {
-                    table: table(rows),
-                    timeline,
-                })
-            }
-        }
+        Ok(StepEvaluation {
+            table: TrainingStepEvaluation {
+                backend: "sim".to_string(),
+                gpu: self.gpu().name().to_string(),
+                rows,
+            },
+            timeline,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{InterconnectKind, SimConfig, TopologyKind};
+    use delta_model::GpuSpec;
+    use serde::{Deserialize, Serialize};
+
+    /// A source shaped like the fleet wire: it replays the units in
+    /// reverse order, sends every part through JSON, and answers in
+    /// input order.
+    struct WireLike<'a>(&'a Simulator);
+
+    fn json<T: Serialize>(v: &T) -> String {
+        serde_json::to_string(v).unwrap()
+    }
+
+    fn round_trip<T: Serialize + Deserialize>(v: &T) -> T {
+        serde_json::from_str(&json(v)).unwrap()
+    }
+
+    impl ReplaySource for WireLike<'_> {
+        fn replay(&self, units: &[ReplayUnit<'_>]) -> Result<Vec<ReplayPart>, Error> {
+            let mut parts = units
+                .iter()
+                .rev()
+                .map(|u| {
+                    Ok(match self.0.replay_unit(u)? {
+                        ReplayPart::Layer(m) => ReplayPart::Layer(round_trip(&m)),
+                        ReplayPart::Columns(c) => {
+                            ReplayPart::Columns(c.iter().map(round_trip).collect())
+                        }
+                    })
+                })
+                .collect::<Result<Vec<_>, Error>>()?;
+            parts.reverse();
+            Ok(parts)
+        }
+    }
+
+    #[test]
+    fn the_fold_over_a_wire_like_source_is_bitwise_the_local_answer() {
+        // Co = 512 -> 4 tile columns; Co = 64 -> 1 tile column.
+        let layer = |label: &str, co: u32| {
+            ConvLayer::builder(label)
+                .batch(2)
+                .input(16, 14, 14)
+                .output_channels(co)
+                .filter(3, 3)
+                .pad(1)
+                .build()
+                .unwrap()
+        };
+        let layers = [layer("four_col", 512), layer("one_col", 64)];
+        let wire = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
+        let local = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
+        assert_eq!(wire.tiling(&layers[0]).cta_columns(), 4);
+        assert_eq!(wire.tiling(&layers[1]).cta_columns(), 1);
+        let mut parallelisms = vec![Parallelism::Single];
+        for workers in [1, 3, 8] {
+            parallelisms.push(Parallelism::Sharded { workers });
+        }
+        parallelisms.push(Parallelism::Multi {
+            devices: vec![GpuSpec::titan_xp(); 2],
+            interconnect: InterconnectKind::NvLink,
+            topology: Some(TopologyKind::Ring),
+        });
+        for p in &parallelisms {
+            for l in &layers {
+                for pass in [Pass::Fwd, Pass::Wgrad] {
+                    let q = EvalQuery::new(l, pass, p.clone());
+                    let got = wire.evaluate_with(&q, &WireLike(&wire)).unwrap();
+                    let want = local.evaluate_with(&q, &LocalReplays(&local)).unwrap();
+                    assert_eq!(json(&got), json(&want), "{p:?} {} {pass}", l.label());
+                }
+            }
+            let q = StepQuery::new(&layers, p.clone());
+            let got = wire.evaluate_step_with(&q, &WireLike(&wire)).unwrap();
+            let want = local.evaluate_step_with(&q, &LocalReplays(&local)).unwrap();
+            assert_eq!(json(&got), json(&want), "step {p:?}");
+        }
+        // The fold counts one replay per layer, whatever the source.
+        assert_eq!(wire.replay_count(), local.replay_count());
+    }
 
     #[test]
     fn bucketizer_partitions_exactly() {

@@ -30,9 +30,8 @@
 //! workers, each replaying its disjoint column set against a private
 //! hierarchy, and the per-shard counters merge exactly through
 //! [`hierarchy::HierarchyStats`] ([`hierarchy::MergeableHierarchy`]).
-//! The same contract scales past one device: [`multigpu`] partitions
-//! columns (and the minibatch) across per-device GPUs via
-//! [`multigpu::DevicePlan`] and charges cross-device halo and
+//! The same contract scales past one device: [`multigpu`] gives each
+//! GPU one shard of the plan and charges cross-device halo and
 //! gradient-all-reduce traffic through an [`interconnect`] model —
 //! under the zero-cost `ideal` preset a G-device run is bitwise
 //! identical to the single-device sharded run. The fabric can be priced
@@ -42,6 +41,11 @@
 //! the [`collective`] scheduler buckets weight gradients and overlaps
 //! each bucket's all-reduce with the remaining backward compute,
 //! emitting a per-device step timeline.
+//! Every replay goes through one seam: [`Simulator`] splits a query's
+//! layers into [`ReplayUnit`]s (a whole layer, or one shard's run of
+//! tile columns), a [`ReplaySource`] runs them — [`LocalReplays`] on
+//! this process's cores, or a fleet of executor processes — and the
+//! simulator folds the returned parts into the answer.
 //! The simulator also implements `delta_model::Backend`, so the
 //! parallel evaluation engine (`delta_model::engine`) can drive it over
 //! whole networks interchangeably with the analytical model.
@@ -89,13 +93,15 @@ pub mod trace;
 pub use delta_model::interconnect;
 pub use delta_model::topology;
 
-pub use collective::{bucketize, GradBucket, LayerPasses, LocalReplays, ReplaySource};
+pub use collective::{
+    bucketize, GradBucket, LayerPasses, LocalReplays, ReplayPart, ReplaySource, ReplayUnit,
+};
 pub use dram::DramChannelModel;
 pub use hierarchy::{HierarchyStats, MemoryHierarchy, MergeableHierarchy};
 pub use interconnect::{Interconnect, InterconnectKind};
-pub use multigpu::{DevicePlan, MultiGpuMeasurement};
+pub use multigpu::MultiGpuMeasurement;
 pub use shard::ShardPlan;
-pub use sim::{ColumnReplay, Measurement, ShardedRun, SimConfig, Simulator, Totals};
+pub use sim::{ColumnReplay, Measurement, SimConfig, Simulator, Totals};
 pub use stages::BatchStats;
 pub use tensorcore::Datapath;
 pub use topology::{Topology, TopologyKind};

@@ -5,12 +5,12 @@
 //! every tile column replays from identical cold state no matter who
 //! owns it, and per-owner [`HierarchyStats`](crate::HierarchyStats)
 //! snapshots merge exactly when walked in ascending column order. A
-//! *device* is just a shard with a price tag: [`DevicePlan`] assigns
-//! each GPU a contiguous column range (and, for the data-parallel
-//! training view, a minibatch slice), every device replays its columns
-//! against private hierarchies, and the merged measurement is **bitwise
-//! identical to the single-device sharded run** — by construction, for
-//! every device count.
+//! *device* is just a shard with a price tag: a `G`-device run is the
+//! [`ShardPlan`](crate::ShardPlan) at `G` workers, each device owning
+//! one contiguous column range replayed against private hierarchies,
+//! so the merged measurement is **bitwise identical to the
+//! single-device sharded run** — by construction, for every device
+//! count. Devices beyond the column count idle.
 //!
 //! What makes G devices different from G worker threads is the
 //! [`Interconnect`]: non-owner
@@ -22,96 +22,10 @@
 //! testing-by-identity trick the shard layer used.
 
 use crate::interconnect::{Interconnect, InterconnectKind};
-use crate::shard::ShardPlan;
 use crate::sim::{Measurement, Simulator};
 use crate::topology::TopologyKind;
 use delta_model::backend::LayerEstimate;
 use delta_model::{ConvLayer, GpuSpec};
-use std::ops::Range;
-
-/// A partition of one layer's work across `G` devices: per-device GPU
-/// specifications, a contiguous tile-column range each device replays
-/// (the model-parallel view the simulator executes), and a minibatch
-/// slice each device owns (the data-parallel view the training step's
-/// all-reduce accounting uses).
-///
-/// Column ranges reuse [`ShardPlan`]'s balanced/disjoint/exhaustive
-/// split, so concatenating the devices' ranges in order re-yields
-/// `0..columns` — the property that makes the merged multi-device
-/// measurement bitwise identical to the single-device sharded run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DevicePlan {
-    gpus: Vec<GpuSpec>,
-    columns: ShardPlan,
-    minibatch: Vec<Range<u32>>,
-}
-
-impl DevicePlan {
-    /// Partitions `columns` tile columns and `batch` minibatch samples
-    /// across `devices` copies of `gpu` (`devices = 0` is clamped to 1).
-    pub fn partition(gpu: &GpuSpec, columns: u64, batch: u32, devices: u32) -> DevicePlan {
-        let g = devices.max(1);
-        let b = u64::from(batch);
-        DevicePlan {
-            gpus: (0..g).map(|_| gpu.clone()).collect(),
-            columns: ShardPlan::partition(columns, g),
-            minibatch: (0..u64::from(g))
-                .map(|i| {
-                    let lo = i * b / u64::from(g);
-                    let hi = (i + 1) * b / u64::from(g);
-                    (lo as u32)..(hi as u32)
-                })
-                .collect(),
-        }
-    }
-
-    /// The plan for `layer` as `sim` would tile it.
-    pub fn for_layer(sim: &Simulator, layer: &ConvLayer, devices: u32) -> DevicePlan {
-        DevicePlan::partition(
-            sim.gpu(),
-            sim.tiling(layer).cta_columns(),
-            layer.batch(),
-            devices,
-        )
-    }
-
-    /// Number of devices (including idle ones).
-    pub fn devices(&self) -> u32 {
-        self.gpus.len() as u32
-    }
-
-    /// The per-device GPU specifications (homogeneous today; the plan
-    /// carries one spec per device so heterogeneity stays a local
-    /// change).
-    pub fn gpus(&self) -> &[GpuSpec] {
-        &self.gpus
-    }
-
-    /// Per-device tile-column ranges, in device order.
-    pub fn column_ranges(&self) -> &[Range<u64>] {
-        self.columns.shards()
-    }
-
-    /// Per-device minibatch sample ranges, in device order.
-    pub fn minibatch_ranges(&self) -> &[Range<u32>] {
-        &self.minibatch
-    }
-
-    /// Devices that own at least one tile column:
-    /// `min(devices, columns)`. The rest idle.
-    pub fn active_devices(&self) -> u32 {
-        self.columns
-            .shards()
-            .iter()
-            .filter(|r| !r.is_empty())
-            .count() as u32
-    }
-
-    /// Devices with no columns to replay.
-    pub fn idle_devices(&self) -> u32 {
-        self.devices() - self.active_devices()
-    }
-}
 
 /// One layer's multi-GPU simulation outcome: the merged measurement
 /// (identical to the single-device sharded run), the per-device critical
@@ -170,9 +84,10 @@ impl MultiGpuMeasurement {
 }
 
 impl Simulator {
-    /// Runs `layer` partitioned across `devices` GPUs ([`DevicePlan`]),
-    /// each replaying its tile-column range against private hierarchies,
-    /// and charges cross-device halo traffic through the named fabric —
+    /// Runs `layer` partitioned across `devices` GPUs (the shard plan at
+    /// `devices` workers), each replaying its tile-column range against
+    /// private hierarchies, and charges cross-device halo traffic
+    /// through the named fabric —
     /// the primitive behind query-driven evaluation, where
     /// [`Parallelism::Multi`](delta_model::query::Parallelism) carries
     /// the interconnect and topology.
@@ -190,19 +105,15 @@ impl Simulator {
         interconnect: InterconnectKind,
         topology: Option<TopologyKind>,
     ) -> MultiGpuMeasurement {
-        let plan = DevicePlan::for_layer(self, layer, devices);
-        let run = self.run_sharded_detail(layer, plan.devices());
-        self.multi_from_run(layer, run, plan.devices(), interconnect, topology)
+        let g = devices.max(1);
+        let run = self.run_local(layer, Some(g));
+        self.multi_from_run(layer, run, g, interconnect, topology)
     }
 
     /// Prices an already-merged G-shard [`ShardedRun`](crate::sim::ShardedRun)
     /// as a `devices`-wide multi-GPU measurement — the fabric half of
-    /// [`Simulator::run_multi`], split out so a fleet
-    /// coordinator can distribute the replay, merge it with
-    /// [`Simulator::merge_column_replays`](crate::sim::Simulator::merge_column_replays)
-    /// at `n_workers = devices`, and price the result through exactly
-    /// this code.
-    pub fn multi_from_run(
+    /// every multi-device replay, whichever source ran its columns.
+    pub(crate) fn multi_from_run(
         &self,
         layer: &ConvLayer,
         run: crate::sim::ShardedRun,
@@ -247,45 +158,6 @@ mod tests {
 
     fn sim() -> Simulator {
         Simulator::new(GpuSpec::titan_xp(), SimConfig::default())
-    }
-
-    #[test]
-    fn plan_partitions_columns_and_minibatch() {
-        let plan = DevicePlan::partition(&GpuSpec::titan_xp(), 16, 64, 4);
-        assert_eq!(plan.devices(), 4);
-        assert_eq!(plan.active_devices(), 4);
-        assert_eq!(plan.idle_devices(), 0);
-        assert_eq!(plan.gpus().len(), 4);
-        // Columns: contiguous, exhaustive, in order.
-        let cols: Vec<u64> = plan
-            .column_ranges()
-            .iter()
-            .flat_map(|r| r.clone())
-            .collect();
-        assert_eq!(cols, (0..16).collect::<Vec<_>>());
-        // Minibatch: 64 samples, 16 each.
-        let samples: Vec<u32> = plan
-            .minibatch_ranges()
-            .iter()
-            .flat_map(|r| r.clone())
-            .collect();
-        assert_eq!(samples, (0..64).collect::<Vec<_>>());
-        assert!(plan
-            .minibatch_ranges()
-            .iter()
-            .all(|r| r.end - r.start == 16));
-    }
-
-    #[test]
-    fn surplus_devices_idle() {
-        let plan = DevicePlan::partition(&GpuSpec::titan_xp(), 2, 8, 6);
-        assert_eq!(plan.devices(), 6);
-        assert_eq!(plan.active_devices(), 2);
-        assert_eq!(plan.idle_devices(), 4);
-        // Zero devices clamps to one.
-        let one = DevicePlan::partition(&GpuSpec::titan_xp(), 4, 8, 0);
-        assert_eq!(one.devices(), 1);
-        assert_eq!(one.active_devices(), 1);
     }
 
     #[test]
@@ -345,10 +217,6 @@ mod tests {
         let eight = s.run_multi(&l, 8, InterconnectKind::NvLink, None);
         assert_eq!(eight.merged, s.run_sharded(&l, 1));
         assert_eq!(eight.active_devices, cols as u32);
-        assert_eq!(
-            eight.active_devices,
-            DevicePlan::for_layer(&s, &l, 8).active_devices()
-        );
         assert_eq!(
             eight.per_device_cycles.iter().filter(|c| **c > 0.0).count() as u32,
             eight.active_devices

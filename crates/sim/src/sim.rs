@@ -14,7 +14,7 @@
 //! sampling.
 
 use crate::coalesce::Transaction;
-use crate::collective::LocalReplays;
+use crate::collective::{LocalReplays, ReplayPart, ReplaySource, ReplayUnit};
 use crate::hierarchy::{HierarchyStats, MemoryHierarchy, MergeableHierarchy};
 use crate::interconnect::{Interconnect, InterconnectKind};
 use crate::sched::ColumnScheduler;
@@ -25,12 +25,12 @@ use crate::tensorcore::Datapath;
 use crate::timing::TimingEngine;
 use crate::topology::{Topology, TopologyKind};
 use delta_model::backend::{Backend, EstimateSource, LayerEstimate};
-use delta_model::query::{EvalQuery, Pass, StepEvaluation, StepQuery};
+use delta_model::query::{EvalQuery, StepEvaluation, StepQuery};
 use delta_model::tiling::{CtaTile, LayerTiling};
-use delta_model::{training, ConvLayer, Error, GpuSpec, BYTES_PER_ELEMENT};
+use delta_model::{ConvLayer, Error, GpuSpec, BYTES_PER_ELEMENT};
 use delta_obs::{span, Counter};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The sampling knobs: how much of a layer the simulator traces and
 /// how it extrapolates the rest. Every field is part of
@@ -225,19 +225,77 @@ impl Simulator {
     /// Runs `layer` through the memory hierarchy and returns the measured
     /// traffic and cycles: the sequential replay, one hierarchy with the
     /// columns drained in order and cache residency persisting from each
-    /// tile column to the next. A fleet executor answers a
-    /// `Parallelism::Single` job with exactly this measurement (residency
-    /// makes its columns non-distributable, so it is one indivisible
-    /// work unit).
+    /// tile column to the next. Residency makes its columns
+    /// non-distributable, so the whole layer is one
+    /// [`ReplayUnit::Layer`].
     pub fn run(&self, layer: &ConvLayer) -> Measurement {
+        self.run_local(layer, None).measurement
+    }
+
+    /// Runs `layer` with its tile columns partitioned over `n_workers`
+    /// parallel workers ([`ShardPlan`]).
+    ///
+    /// Each worker replays its disjoint column set against a private
+    /// [`MemoryHierarchy`] and [`TimingEngine`], so every tile column is
+    /// simulated from identical (cold) initial state regardless of which
+    /// worker owns it; per-shard counters then merge associatively
+    /// ([`HierarchyStats::merge`]) in ascending column order. The result
+    /// is therefore **bitwise identical for every worker count** —
+    /// `run_sharded(layer, 4) == run_sharded(layer, 1)` exactly.
+    ///
+    /// The sharded semantics differ from [`Simulator::run`] in one
+    /// deliberate way: cache residency does not persist across
+    /// tile columns (each column is an independent replay domain). That
+    /// matches the analytical model's per-column IFmap refetch assumption
+    /// (paper Eq. 10), and on multi-column layers it can move DRAM reads
+    /// by a large factor, not a few percent: every column refetches the
+    /// IFmap that [`Simulator::run`] keeps in L2 when it fits. ResNet152
+    /// conv4_1_c at batch 8 reads 0.003 GB of DRAM under `run` and
+    /// 0.014 GB here. Single-column layers are unaffected.
+    ///
+    /// The tile column is the only work unit, so at most
+    /// `min(n_workers, columns)` workers are busy; the rest own empty
+    /// shards. A narrow layer with fewer columns than workers therefore
+    /// runs exactly the one-worker replay.
+    pub fn run_sharded(&self, layer: &ConvLayer, n_workers: u32) -> Measurement {
+        self.run_local(layer, Some(n_workers)).measurement
+    }
+
+    /// One layer through [`LocalReplays`] and the fold: the whole layer
+    /// when `workers` is `None`, else its shards at `workers`, with the
+    /// per-shard cycles the multi-GPU layer (`run_multi`) prices.
+    pub(crate) fn run_local(&self, layer: &ConvLayer, workers: Option<u32>) -> ShardedRun {
+        self.replay_runs(&[layer], workers, &LocalReplays(self))
+            .expect("in-process units stay inside the layer's tile grid")
+            .remove(0)
+    }
+
+    /// Replays one unit against fresh state and returns its part: the
+    /// one unit body every [`ReplaySource`] runs, [`LocalReplays`] on
+    /// this process's cores and a fleet executor for each job. Counts
+    /// no replay: the fold that turns a layer's parts into its answer
+    /// counts the layer once ([`Simulator::replay_count`]).
+    ///
+    /// # Errors
+    ///
+    /// Rejects a column range outside the layer's tile grid.
+    pub fn replay_unit(&self, unit: &ReplayUnit<'_>) -> Result<ReplayPart, Error> {
+        match unit {
+            ReplayUnit::Layer(layer) => Ok(ReplayPart::Layer(self.replay_layer(layer))),
+            ReplayUnit::Columns(layer, cols) => self
+                .replay_columns(layer, cols.clone())
+                .map(ReplayPart::Columns),
+        }
+    }
+
+    /// The sequential replay behind a [`ReplayUnit::Layer`].
+    fn replay_layer(&self, layer: &ConvLayer) -> Measurement {
         let datapath = Datapath::select(&self.gpu, layer.kind());
         let _span = span!(
             "sim.replay",
-            mode = "sequential",
             layer = layer.label(),
             datapath = datapath.label()
         );
-        self.replays.inc();
         let tiling = self.tiling(layer);
         let tile = tiling.tile();
         let active = self.active_ctas(tile);
@@ -292,136 +350,65 @@ impl Simulator {
         }
     }
 
-    /// Runs `layer` with its tile columns partitioned over `n_workers`
-    /// parallel workers ([`ShardPlan`]).
-    ///
-    /// Each worker replays its disjoint column set against a private
-    /// [`MemoryHierarchy`] and [`TimingEngine`], so every tile column is
-    /// simulated from identical (cold) initial state regardless of which
-    /// worker owns it; per-shard counters then merge associatively
-    /// ([`HierarchyStats::merge`]) in ascending column order. The result
-    /// is therefore **bitwise identical for every worker count** —
-    /// `run_sharded(layer, 4) == run_sharded(layer, 1)` exactly.
-    ///
-    /// The sharded semantics differ from [`Simulator::run`] in one
-    /// deliberate way: cache residency does not persist across
-    /// tile columns (each column is an independent replay domain). That
-    /// matches the analytical model's per-column IFmap refetch assumption
-    /// (paper Eq. 10), and on multi-column layers it can move DRAM reads
-    /// by a large factor, not a few percent: every column refetches the
-    /// IFmap that [`Simulator::run`] keeps in L2 when it fits. ResNet152
-    /// conv4_1_c at batch 8 reads 0.003 GB of DRAM under `run` and
-    /// 0.014 GB here. Single-column layers are unaffected.
-    ///
-    /// The tile column is the only work unit, so at most
-    /// `min(n_workers, columns)` workers are busy; the rest own empty
-    /// shards. A narrow layer with fewer columns than workers therefore
-    /// runs exactly the one-worker replay.
-    pub fn run_sharded(&self, layer: &ConvLayer, n_workers: u32) -> Measurement {
-        self.run_sharded_detail(layer, n_workers).measurement
-    }
-
-    /// [`Simulator::run_sharded`] plus per-shard cycle accounting — the
-    /// primitive the multi-GPU layer (`run_multi`) builds on, where each
-    /// shard is one device and the per-device critical path matters.
-    /// Public so the fleet's identity tests can compare a
-    /// distributed merge against the single-process detail bitwise,
-    /// per-shard cycles included.
-    pub fn run_sharded_detail(&self, layer: &ConvLayer, n_workers: u32) -> ShardedRun {
+    /// The column replay behind a [`ReplayUnit::Columns`]: each column
+    /// of `cols` against its own fresh hierarchy/timing pair, packaged
+    /// as the serializable merge part.
+    fn replay_columns(
+        &self,
+        layer: &ConvLayer,
+        cols: Range<u64>,
+    ) -> Result<Vec<ColumnReplay>, Error> {
         let datapath = Datapath::select(&self.gpu, layer.kind());
-        let _span = span!(
-            "sim.replay",
-            mode = "sharded",
-            layer = layer.label(),
-            workers = n_workers,
-            datapath = datapath.label()
-        );
-        self.replays.inc();
         let tiling = self.tiling(layer);
-        let tile = tiling.tile();
-        let active = self.active_ctas(tile);
-        let map = TensorMap::new(layer);
+        let active = self.active_ctas(tiling.tile());
         let sched = ColumnScheduler::new(&tiling, &self.gpu, active);
-        let plan = ShardPlan::partition(sched.columns(), n_workers);
-
-        // The prologue is charged once per layer, as in the sequential
-        // path. The charge is latency + bytes only (no compute term), so
-        // it is datapath-independent by construction.
-        let mut prologue = TimingEngine::new(&self.gpu, tile);
-        self.charge_layer_prologue(&mut prologue, tile);
-
-        let simulate_shard = |range: &std::ops::Range<u64>| {
-            let mut out = Vec::with_capacity((range.end - range.start) as usize);
-            let mut tx_buf = Vec::with_capacity(64);
-            for col in range.clone() {
-                out.push(self.replay_column(
+        if cols.start > cols.end || cols.end > sched.columns() {
+            return Err(Error::Fleet {
+                context: "replay".into(),
+                reason: format!(
+                    "columns {}..{} out of range: layer `{}` has {} tile columns",
+                    cols.start,
+                    cols.end,
+                    layer.label(),
+                    sched.columns()
+                ),
+            });
+        }
+        let map = TensorMap::new(layer);
+        let mut tx_buf = Vec::with_capacity(64);
+        Ok(cols
+            .map(|col| {
+                let _span = span!(
+                    "sim.replay_column",
+                    layer = layer.label(),
+                    col = col,
+                    datapath = datapath.label()
+                );
+                let mut hier = MemoryHierarchy::new(&self.gpu);
+                let mut timing = TimingEngine::with_datapath(&self.gpu, tiling.tile(), datapath);
+                let sim = self.simulate_column(
                     &map,
                     &sched,
                     &tiling,
                     active,
-                    datapath,
                     col,
+                    &mut hier,
+                    &mut timing,
                     &mut tx_buf,
-                ));
-            }
-            out
-        };
-        // Inside another parallel region (the engine's layer fan-out
-        // already saturates the cores), spawning a second tier of
-        // workers only oversubscribes the machine: walk the shards on
-        // this thread instead. Results are identical either way — the
-        // merge below is pinned to column order.
-        let shard_outcomes: Vec<Vec<ColumnReplay>> = if rayon::current_thread_index().is_some() {
-            plan.shards().iter().map(simulate_shard).collect()
-        } else {
-            plan.shards().par_iter().map(simulate_shard).collect()
-        };
-
-        merge_column_groups(
-            prologue.cycles(),
-            tiling.num_ctas(),
-            active,
-            &shard_outcomes,
-        )
-    }
-
-    /// Replays one tile column against a fresh hierarchy/timing pair —
-    /// the column-axis work unit — and packages it as the serializable
-    /// merge part.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_column(
-        &self,
-        map: &TensorMap,
-        sched: &ColumnScheduler,
-        tiling: &LayerTiling,
-        active: u32,
-        datapath: Datapath,
-        col: u64,
-        tx_buf: &mut Vec<Transaction>,
-    ) -> ColumnReplay {
-        let mut hier = MemoryHierarchy::new(&self.gpu);
-        let mut timing = TimingEngine::with_datapath(&self.gpu, tiling.tile(), datapath);
-        let sim = self.simulate_column(
-            map,
-            sched,
-            tiling,
-            active,
-            col,
-            &mut hier,
-            &mut timing,
-            tx_buf,
-            false,
-        );
-        timing.add_cycles(sim.extra_cycles);
-        ColumnReplay {
-            col: sim.col,
-            stats: sim.stats,
-            simulated_ctas: sim.simulated_ctas,
-            sampled: sim.sampled,
-            extrapolated: sim.extrapolated,
-            snapshot: hier.snapshot(),
-            cycles: timing.cycles(),
-        }
+                    false,
+                );
+                timing.add_cycles(sim.extra_cycles);
+                ColumnReplay {
+                    col: sim.col,
+                    stats: sim.stats,
+                    simulated_ctas: sim.simulated_ctas,
+                    sampled: sim.sampled,
+                    extrapolated: sim.extrapolated,
+                    snapshot: hier.snapshot(),
+                    cycles: timing.cycles(),
+                }
+            })
+            .collect())
     }
 
     /// Simulates one tile column — its sampled batch prefix plus the
@@ -499,17 +486,15 @@ impl Simulator {
     }
 }
 
-/// A sharded run's merged measurement plus the per-shard critical paths
+/// A folded run's measurement plus the per-shard critical paths
 /// (cycles each shard's owner spent, prologue included; 0 for idle
-/// shards). Consumed by the multi-GPU layer, where shards are devices,
-/// and returned by the fleet merge entry points so distributed runs can
-/// be compared against local ones field for field.
+/// shards). Consumed by the multi-GPU layer, where shards are devices.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardedRun {
+pub(crate) struct ShardedRun {
     /// The merged measurement — bitwise identical for every shard count.
-    pub measurement: Measurement,
+    pub(crate) measurement: Measurement,
     /// Per-shard cycles in shard order.
-    pub per_shard_cycles: Vec<f64>,
+    pub(crate) per_shard_cycles: Vec<f64>,
 }
 
 /// One tile column's replay outcome — the merge unit of the sharded
@@ -533,68 +518,6 @@ pub struct ColumnReplay {
     pub snapshot: HierarchyStats,
     /// The column's timing-engine cycles, extrapolated tail included.
     pub cycles: f64,
-}
-
-/// Merges column replays, pre-grouped by owning shard, in ascending
-/// column order: the u64 counters are associative, and pinning the f64
-/// accumulation order to the column index makes the totals bitwise
-/// identical for every worker count, every grouping, and every CI
-/// machine. The single merge implementation behind both the local
-/// sharded run and the fleet's distributed one.
-fn merge_column_groups(
-    prologue_cycles: f64,
-    total_ctas: u64,
-    active: u32,
-    groups: &[Vec<ColumnReplay>],
-) -> ShardedRun {
-    // Per-shard critical paths: an active shard charges its own layer
-    // prologue plus its columns; an empty shard is idle.
-    let per_shard_cycles: Vec<f64> = groups
-        .iter()
-        .map(|cols| {
-            if cols.is_empty() {
-                0.0
-            } else {
-                prologue_cycles + cols.iter().map(|c| c.cycles).sum::<f64>()
-            }
-        })
-        .collect();
-
-    let mut hstats = HierarchyStats::default();
-    let mut measured = Totals::default();
-    let mut extrapolated = Totals::default();
-    let mut cycles = prologue_cycles;
-    let mut simulated_ctas = 0u64;
-    let mut sampled = false;
-    for (idx, part) in groups.iter().flatten().enumerate() {
-        assert_eq!(
-            part.col, idx as u64,
-            "shard merge must walk columns in ascending order"
-        );
-        hstats.merge(&part.snapshot);
-        measured.accumulate(&part.stats);
-        extrapolated.add(&part.extrapolated);
-        cycles += part.cycles;
-        simulated_ctas += part.simulated_ctas;
-        sampled |= part.sampled;
-    }
-
-    ShardedRun {
-        measurement: Measurement {
-            l1_bytes: measured.l1_bytes + extrapolated.l1_bytes,
-            l2_bytes: measured.l2_bytes + extrapolated.l2_bytes,
-            dram_read_bytes: measured.dram_bytes + extrapolated.dram_bytes,
-            dram_write_bytes: hstats.dram_write_bytes as f64 + extrapolated.store_bytes,
-            l1_miss_rate: hstats.l1.miss_rate(),
-            l2_miss_rate: hstats.l2.miss_rate(),
-            cycles,
-            sampled,
-            simulated_ctas,
-            total_ctas,
-            active_ctas: active,
-        },
-        per_shard_cycles,
-    }
 }
 
 /// One tile column's simulation outcome — packaged as a
@@ -643,59 +566,49 @@ pub fn all_reduce_pricing_of(
     payload: f64,
     devices: u32,
 ) -> (f64, f64) {
-    let base = interconnect.params();
-    match topology {
+    let topo = topology.map(|kind| Topology::build(kind, devices));
+    all_reduce_on(&interconnect.params(), topo.as_ref(), payload, devices)
+}
+
+/// [`all_reduce_pricing_of`] over an already-built topology graph (a
+/// step builds it once for all its layers and buckets).
+pub(crate) fn all_reduce_on(
+    base: &Interconnect,
+    topo: Option<&Topology>,
+    payload: f64,
+    devices: u32,
+) -> (f64, f64) {
+    match topo {
         None => (
             base.all_reduce_bytes(payload, devices),
             base.all_reduce_seconds(payload, devices),
         ),
-        Some(kind) => {
-            let topo = Topology::build(kind, devices);
-            (
-                topo.all_reduce_bytes(&base, payload),
-                topo.all_reduce_seconds(&base, payload),
-            )
-        }
+        Some(t) => (
+            t.all_reduce_bytes(base, payload),
+            t.all_reduce_seconds(base, payload),
+        ),
     }
 }
 
-/// Adds the data-parallel weight-gradient all-reduce on top of a wgrad
-/// estimate: `filter_bytes` of gradients (|∇W| = the layer's filter
-/// footprint) all-reduced once across `devices`.
-pub(crate) fn add_wgrad_all_reduce(
+/// Adds a data-parallel weight-gradient all-reduce, priced as
+/// `(link bytes, seconds)`, on top of a wgrad estimate.
+pub(crate) fn charge_all_reduce(
     est: &mut LayerEstimate,
     gpu: &GpuSpec,
-    interconnect: InterconnectKind,
-    topology: Option<TopologyKind>,
-    filter_bytes: f64,
-    devices: u32,
+    (bytes, seconds): (f64, f64),
 ) {
-    let (ar_bytes, ar_seconds) =
-        all_reduce_pricing_of(interconnect, topology, filter_bytes, devices);
-    est.link_bytes += ar_bytes;
-    est.seconds += ar_seconds;
-    est.cycles += gpu.seconds_to_clks(ar_seconds);
+    est.link_bytes += bytes;
+    est.seconds += seconds;
+    est.cycles += gpu.seconds_to_clks(seconds);
 }
 
 impl Simulator {
-    /// The concrete workload a query pass replays: the forward layer
-    /// itself, or its dgrad/wgrad transform. Public so a fleet
-    /// coordinator and its executors derive the replayed layer from the
-    /// same query with the same transform.
-    pub fn pass_workload(layer: &ConvLayer, pass: Pass) -> Result<ConvLayer, Error> {
-        match pass {
-            Pass::Fwd => Ok(layer.clone()),
-            Pass::Dgrad => training::dgrad_layer(layer),
-            Pass::Wgrad => training::wgrad_layer(layer),
-        }
-    }
-
     /// Today's multi-device replay assumes a homogeneous fleet of this
     /// simulator's GPU; a query naming any other device spec is rejected
     /// rather than silently simulated on the wrong hardware.
     /// (Capacity-weighted heterogeneous partitioning is the ROADMAP
     /// follow-up that lands behind this same query signature.)
-    pub fn require_homogeneous(&self, devices: &[GpuSpec]) -> Result<(), Error> {
+    pub(crate) fn require_homogeneous(&self, devices: &[GpuSpec]) -> Result<(), Error> {
         let offending: Vec<(usize, &GpuSpec)> = devices
             .iter()
             .enumerate()
@@ -727,74 +640,86 @@ impl Simulator {
     }
 
     /// The exact [`ShardPlan`] a `run_sharded(layer, n_workers)` call
-    /// uses — the column decomposition a fleet coordinator fans out, and
-    /// the merge order it must reassemble.
-    pub fn shard_plan(&self, layer: &ConvLayer, n_workers: u32) -> ShardPlan {
+    /// uses: the column decomposition into units, and the shard
+    /// boundaries the merge regroups them by.
+    fn shard_plan(&self, layer: &ConvLayer, n_workers: u32) -> ShardPlan {
         ShardPlan::partition(self.tiling(layer).cta_columns(), n_workers)
     }
 
-    /// The one-per-layer prologue charge in cycles (what an active
-    /// shard's critical path starts from).
-    fn layer_prologue_cycles(&self, tile: CtaTile) -> f64 {
-        let mut t = TimingEngine::new(&self.gpu, tile);
-        self.charge_layer_prologue(&mut t, tile);
-        t.cycles()
-    }
-
-    /// Replays one tile column — the work unit of a [`ShardPlan`] —
-    /// against fresh private state and returns the serializable merge
-    /// part. This is what a fleet executor runs for a `column` job;
-    /// feeding every column of a layer (in any grouping) to
-    /// [`Simulator::merge_column_replays`] reproduces `run_sharded`
-    /// bitwise.
-    ///
-    /// Does **not** bump [`Simulator::replay_count`]: the counter's
-    /// unit is one whole-layer replay, and a unit replay is a fraction
-    /// of one (the coordinator performing the merge owns the count).
-    ///
-    /// # Errors
-    ///
-    /// Rejects a column index outside the layer's tile grid.
-    pub fn replay_column_unit(&self, layer: &ConvLayer, col: u64) -> Result<ColumnReplay, Error> {
-        let datapath = Datapath::select(&self.gpu, layer.kind());
-        let _span = span!(
-            "sim.replay_column",
-            layer = layer.label(),
-            col = col,
-            datapath = datapath.label()
-        );
-        let tiling = self.tiling(layer);
-        let active = self.active_ctas(tiling.tile());
-        let sched = ColumnScheduler::new(&tiling, &self.gpu, active);
-        if col >= sched.columns() {
-            return Err(Error::Fleet {
-                context: "replay".into(),
-                reason: format!(
-                    "column {col} out of range: layer `{}` has {} tile columns",
-                    layer.label(),
-                    sched.columns()
-                ),
-            });
+    /// Replays `layers` through `source` and folds each layer's parts:
+    /// the whole layer when `workers` is `None`, else one unit per busy
+    /// shard of its [`ShardPlan`] at `workers`, merged through
+    /// [`Simulator::merge_column_replays`]. Each folded layer counts as
+    /// one replay, whatever source ran its units.
+    pub(crate) fn replay_runs(
+        &self,
+        layers: &[&ConvLayer],
+        workers: Option<u32>,
+        source: &impl ReplaySource,
+    ) -> Result<Vec<ShardedRun>, Error> {
+        let per_layer: Vec<Vec<ReplayUnit<'_>>> = layers
+            .iter()
+            .map(|l| match workers {
+                None => vec![ReplayUnit::Layer(l)],
+                Some(n) => self
+                    .shard_plan(l, n)
+                    .shards()
+                    .iter()
+                    .filter(|r| !r.is_empty())
+                    .map(|r| ReplayUnit::Columns(l, r.clone()))
+                    .collect(),
+            })
+            .collect();
+        let units: Vec<ReplayUnit<'_>> = per_layer.iter().flatten().cloned().collect();
+        let parts = source.replay(&units)?;
+        if parts.len() != units.len() {
+            return Err(reject_parts(format!(
+                "expected one part per replay unit ({}), got {}",
+                units.len(),
+                parts.len()
+            )));
         }
-        let map = TensorMap::new(layer);
-        let mut tx_buf = Vec::with_capacity(64);
-        Ok(self.replay_column(&map, &sched, &tiling, active, datapath, col, &mut tx_buf))
+        let mut parts = parts.into_iter();
+        layers
+            .iter()
+            .zip(&per_layer)
+            .map(|(l, u)| {
+                let (mut whole, mut cols) = (None, Vec::new());
+                for part in parts.by_ref().take(u.len()) {
+                    match part {
+                        ReplayPart::Layer(m) => whole = Some(m),
+                        ReplayPart::Columns(c) => cols.extend(c),
+                    }
+                }
+                let run = match (workers, whole) {
+                    // A sequential replay is one shard: its critical
+                    // path is its whole cycle count.
+                    (None, Some(m)) => ShardedRun {
+                        measurement: m,
+                        per_shard_cycles: vec![m.cycles],
+                    },
+                    (Some(n), None) => self.merge_column_replays(l, n, cols)?,
+                    _ => return Err(reject_parts("parts do not match their units".into())),
+                };
+                self.replays.inc();
+                Ok(run)
+            })
+            .collect()
     }
 
     /// Merges per-column replay parts — one [`ColumnReplay`] per tile
-    /// column, in any order of production — into exactly the
-    /// [`ShardedRun`] that `run_sharded_detail(layer, n_workers)`
-    /// produces, per-shard cycles included. The merge itself is the
-    /// same code the single-process path runs; this entry point only
-    /// validates the parts first (sorted, exhaustive, duplicate-free
-    /// coverage of the column range), so malformed remote data
-    /// surfaces as an [`Error::Fleet`] instead of a panic.
+    /// column — into the [`ShardedRun`] at `n_workers`, per-shard
+    /// cycles included: the one merge. The u64 counters are
+    /// associative, and pinning the f64 accumulation order to the
+    /// column index makes the totals bitwise identical for every
+    /// worker count, grouping and machine.
     ///
     /// # Errors
     ///
     /// Rejects any part list that is not exactly columns `0..columns`
-    /// in ascending order.
-    pub fn merge_column_replays(
+    /// in ascending order, so malformed remote data surfaces as an
+    /// [`Error::Fleet`] instead of a panic.
+    fn merge_column_replays(
         &self,
         layer: &ConvLayer,
         n_workers: u32,
@@ -802,12 +727,8 @@ impl Simulator {
     ) -> Result<ShardedRun, Error> {
         let _span = span!("sim.merge", layer = layer.label(), parts = parts.len());
         let plan = self.shard_plan(layer, n_workers);
-        let reject = |reason: String| Error::Fleet {
-            context: "merge".into(),
-            reason,
-        };
         if parts.len() as u64 != plan.columns() {
-            return Err(reject(format!(
+            return Err(reject_parts(format!(
                 "expected one replay per tile column ({}), got {}",
                 plan.columns(),
                 parts.len()
@@ -815,7 +736,7 @@ impl Simulator {
         }
         for (idx, p) in parts.iter().enumerate() {
             if p.col != idx as u64 {
-                return Err(reject(format!(
+                return Err(reject_parts(format!(
                     "replay parts must cover columns 0..{} in ascending order; \
                      position {idx} holds column {}",
                     plan.columns(),
@@ -823,22 +744,67 @@ impl Simulator {
                 )));
             }
         }
-        // Regroup by the plan's own shard ranges so per-shard cycles
-        // fold in exactly the single-process order.
-        let mut it = parts.into_iter();
-        let groups: Vec<Vec<ColumnReplay>> = plan
+        // The prologue is charged once per layer, as in the sequential
+        // replay (latency + bytes only, so datapath-independent).
+        let tiling = self.tiling(layer);
+        let mut prologue = TimingEngine::new(&self.gpu, tiling.tile());
+        self.charge_layer_prologue(&mut prologue, tiling.tile());
+        let prologue_cycles = prologue.cycles();
+
+        // Per-shard critical paths: an active shard charges its own
+        // layer prologue plus its columns; an empty shard is idle.
+        let per_shard_cycles: Vec<f64> = plan
             .shards()
             .iter()
-            .map(|r| it.by_ref().take((r.end - r.start) as usize).collect())
+            .map(|r| {
+                if r.is_empty() {
+                    0.0
+                } else {
+                    let cols = &parts[r.start as usize..r.end as usize];
+                    prologue_cycles + cols.iter().map(|c| c.cycles).sum::<f64>()
+                }
+            })
             .collect();
-        let tiling = self.tiling(layer);
-        let active = self.active_ctas(tiling.tile());
-        Ok(merge_column_groups(
-            self.layer_prologue_cycles(tiling.tile()),
-            tiling.num_ctas(),
-            active,
-            &groups,
-        ))
+
+        let mut hstats = HierarchyStats::default();
+        let mut measured = Totals::default();
+        let mut extrapolated = Totals::default();
+        let mut cycles = prologue_cycles;
+        let mut simulated_ctas = 0u64;
+        let mut sampled = false;
+        for part in &parts {
+            hstats.merge(&part.snapshot);
+            measured.accumulate(&part.stats);
+            extrapolated.add(&part.extrapolated);
+            cycles += part.cycles;
+            simulated_ctas += part.simulated_ctas;
+            sampled |= part.sampled;
+        }
+
+        Ok(ShardedRun {
+            measurement: Measurement {
+                l1_bytes: measured.l1_bytes + extrapolated.l1_bytes,
+                l2_bytes: measured.l2_bytes + extrapolated.l2_bytes,
+                dram_read_bytes: measured.dram_bytes + extrapolated.dram_bytes,
+                dram_write_bytes: hstats.dram_write_bytes as f64 + extrapolated.store_bytes,
+                l1_miss_rate: hstats.l1.miss_rate(),
+                l2_miss_rate: hstats.l2.miss_rate(),
+                cycles,
+                sampled,
+                simulated_ctas,
+                total_ctas: tiling.num_ctas(),
+                active_ctas: self.active_ctas(tiling.tile()),
+            },
+            per_shard_cycles,
+        })
+    }
+}
+
+/// The error for replay parts that do not fit their units.
+fn reject_parts(reason: String) -> Error {
+    Error::Fleet {
+        context: "merge".into(),
+        reason,
     }
 }
 
@@ -860,7 +826,7 @@ impl Backend for Simulator {
     }
 
     fn evaluate_step(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {
-        self.evaluate_step_query(query)
+        self.evaluate_step_with(query, &LocalReplays(self))
     }
 
     fn replays(&self) -> Option<u64> {
@@ -910,8 +876,9 @@ impl Totals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delta_model::query::Parallelism;
+    use delta_model::query::{Parallelism, Pass};
     use delta_model::traffic::{self, l1::MliMode};
+    use delta_model::training;
 
     fn small_layer() -> ConvLayer {
         ConvLayer::builder("small")
@@ -1258,8 +1225,10 @@ mod tests {
     #[test]
     fn sharded_stays_within_band_of_sequential_replay() {
         // Sharding isolates tile columns (no cross-column L2 residency),
-        // which matches the model's per-column refetch assumption and may
-        // move measurements by a few percent — but no more.
+        // which matches the model's per-column refetch assumption. On
+        // this small layer the IFmap refetch stays within the band below;
+        // on layers whose IFmap fits in L2 it can move DRAM reads
+        // several-fold (see `run_sharded`).
         let l = four_column_layer();
         let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
         let seq = sim.run(&l);
@@ -1327,36 +1296,24 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let tiling = sim.tiling(&l);
-        let map = TensorMap::new(&l);
-        let sched = ColumnScheduler::new(&tiling, sim.gpu(), 1);
+        let sched = ColumnScheduler::new(&sim.tiling(&l), sim.gpu(), 1);
         assert!(sched.columns() >= 4, "need a multi-column layer");
         assert!(
             sched.batches_per_column() > 2,
             "need sampling to engage the steady state"
         );
 
+        // Each shard's run of columns replayed as one unit, the stats
+        // concatenated in shard order.
         let merged_stats = |n_workers: u32| -> Vec<BatchStats> {
-            let plan = ShardPlan::partition(sched.columns(), n_workers);
             let mut all = Vec::new();
-            for range in plan.shards() {
-                let mut tx_buf = Vec::new();
-                for col in range.clone() {
-                    let mut hier = MemoryHierarchy::new(sim.gpu());
-                    let mut timing = TimingEngine::new(sim.gpu(), tiling.tile());
-                    let c = sim.simulate_column(
-                        &map,
-                        &sched,
-                        &tiling,
-                        1,
-                        col,
-                        &mut hier,
-                        &mut timing,
-                        &mut tx_buf,
-                        false,
-                    );
-                    all.extend(c.stats);
-                }
+            for range in sim.shard_plan(&l, n_workers).shards() {
+                let Ok(ReplayPart::Columns(parts)) =
+                    sim.replay_unit(&ReplayUnit::Columns(&l, range.clone()))
+                else {
+                    panic!("a column unit answers column parts");
+                };
+                all.extend(parts.into_iter().flat_map(|c| c.stats));
             }
             all
         };
@@ -1401,7 +1358,7 @@ mod tests {
     }
 
     #[test]
-    fn narrow_layer_row_sharding_is_identical_for_every_worker_count() {
+    fn narrow_layer_sharding_is_identical_for_every_worker_count() {
         let l = narrow_layer();
         let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
         let tiling = sim.tiling(&l);
@@ -1427,22 +1384,32 @@ mod tests {
         }
     }
 
+    /// Every column of `l` replayed as its own unit, as fleet executors
+    /// answer one `Column` job each.
+    fn column_parts(sim: &Simulator, l: &ConvLayer) -> Vec<ColumnReplay> {
+        let unit = |c| ReplayUnit::Columns(l, c..c + 1);
+        (0..sim.tiling(l).cta_columns())
+            .flat_map(|c| match sim.replay_unit(&unit(c)) {
+                Ok(ReplayPart::Columns(parts)) if parts.len() == 1 => parts,
+                other => panic!("one column part expected: {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn unit_replays_merge_to_the_column_sharded_run_bitwise() {
         // The fleet contract on the column axis: replaying each column
         // as an independent unit and merging through the validated
-        // public entry point reproduces run_sharded_detail exactly —
+        // fold reproduces the in-process sharded run exactly —
         // Measurement AND per-shard cycles — for every worker count,
         // including more workers than columns.
         let l = wide_layer();
         let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
         for n in [1u32, 2, 3, 4, 8] {
-            let plan = sim.shard_plan(&l, n);
-            let parts: Vec<ColumnReplay> = (0..plan.columns())
-                .map(|c| sim.replay_column_unit(&l, c).unwrap())
-                .collect();
-            let merged = sim.merge_column_replays(&l, n, parts).unwrap();
-            let local = sim.run_sharded_detail(&l, n);
+            let merged = sim
+                .merge_column_replays(&l, n, column_parts(&sim, &l))
+                .unwrap();
+            let local = sim.run_local(&l, Some(n));
             assert_eq!(merged, local, "workers={n}");
         }
     }
@@ -1454,7 +1421,7 @@ mod tests {
         // same bits as one that never left the process.
         let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
         let wide = wide_layer();
-        let col = sim.replay_column_unit(&wide, 1).unwrap();
+        let col = column_parts(&sim, &wide).remove(1);
         let json = serde_json::to_string(&col).unwrap();
         let back: ColumnReplay = serde_json::from_str(&json).unwrap();
         assert_eq!(back, col);
@@ -1462,9 +1429,12 @@ mod tests {
 
     #[test]
     fn unit_replays_do_not_bump_the_replay_counter() {
+        // The fold counts a layer once; the unit body an executor runs
+        // for each job counts nothing.
         let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
         let l = wide_layer();
-        sim.replay_column_unit(&l, 0).unwrap();
+        column_parts(&sim, &l);
+        sim.replay_unit(&ReplayUnit::Layer(&l)).unwrap();
         assert_eq!(sim.replay_count(), 0);
         sim.run_sharded(&l, 2);
         assert_eq!(sim.replay_count(), 1);
@@ -1474,10 +1444,7 @@ mod tests {
     fn merge_entry_points_reject_malformed_parts() {
         let sim = Simulator::new(GpuSpec::titan_xp(), SimConfig::default());
         let wide = wide_layer();
-        let plan = sim.shard_plan(&wide, 2);
-        let parts: Vec<ColumnReplay> = (0..plan.columns())
-            .map(|c| sim.replay_column_unit(&wide, c).unwrap())
-            .collect();
+        let parts = column_parts(&sim, &wide);
 
         // Missing column.
         let mut missing = parts.clone();
@@ -1500,7 +1467,9 @@ mod tests {
         );
 
         // Out-of-range unit requests are refused, not panicked on.
-        assert!(sim.replay_column_unit(&wide, 1_000).is_err());
+        assert!(sim
+            .replay_unit(&ReplayUnit::Columns(&wide, 1_000..1_001))
+            .is_err());
     }
 
     fn gemm_layer() -> ConvLayer {
@@ -1566,12 +1535,10 @@ mod tests {
         let sim = Simulator::new(GpuSpec::v100_tensor(), SimConfig::default());
         let l = gemm_layer();
         let n = 4;
-        let local = sim.run_sharded_detail(&l, n);
-        let plan = sim.shard_plan(&l, n);
-        let parts: Vec<ColumnReplay> = (0..plan.columns())
-            .map(|c| sim.replay_column_unit(&l, c).unwrap())
-            .collect();
-        let merged = sim.merge_column_replays(&l, n, parts).unwrap();
+        let local = sim.run_local(&l, Some(n));
+        let merged = sim
+            .merge_column_replays(&l, n, column_parts(&sim, &l))
+            .unwrap();
         assert_eq!(local, merged);
     }
 }

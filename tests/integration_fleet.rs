@@ -10,6 +10,8 @@
 //!   are bitwise identical to the local backend for executor counts
 //!   {1, 2, 4};
 //! * `StepQuery` answers (table + timeline) are bitwise identical too;
+//! * the coordinator counts the same replays as the in-process
+//!   simulator;
 //! * killing an executor mid-run re-queues its jobs and still answers
 //!   bitwise identically;
 //! * duplicate reply delivery is dropped idempotently;
@@ -22,7 +24,8 @@ use delta_fleet::{
     spawn_local_executors, Coordinator, ExecutorConfig, FaultPlan, FleetConfig, PROTOCOL_VERSION,
 };
 use delta_model::{
-    Backend, ConvLayer, Error, EvalQuery, GpuSpec, InterconnectKind, Parallelism, Pass, StepQuery,
+    Backend, ConvLayer, Engine, Error, EvalQuery, GpuSpec, InterconnectKind, Parallelism, Pass,
+    StepQuery,
 };
 use delta_sim::{SimConfig, Simulator};
 use std::time::Duration;
@@ -131,6 +134,31 @@ fn eval_queries_are_bitwise_identical_for_every_executor_count() {
             let got = json(&coordinator.evaluate(q).expect("fleet evaluate"));
             assert_eq!(&got, want, "executors={executors} query={q:?}");
         }
+    }
+}
+
+#[test]
+fn the_coordinator_counts_the_replays_an_in_process_simulator_counts() {
+    // The fold counts one replay per layer whichever source ran the
+    // units, so the coordinator's counter (its `delta_sim_replays_total`)
+    // reads what the in-process simulator's does.
+    let (_handles, coordinator) = fleet(2);
+    let fleet_engine = Engine::new(coordinator);
+    let local_engine = Engine::new(sim());
+    for parallelism in [
+        Parallelism::Single,
+        Parallelism::Sharded { workers: 4 },
+        devices(2),
+    ] {
+        let query = EvalQuery::new(&wide_layer(), Pass::Fwd, parallelism.clone());
+        fleet_engine.evaluate(&query).expect("fleet evaluate");
+        local_engine.evaluate(&query).expect("local evaluate");
+        let step = StepQuery::new(&[wide_layer(), narrow_layer()], parallelism);
+        fleet_engine.evaluate_step(&step).expect("fleet step");
+        local_engine.evaluate_step(&step).expect("local step");
+        let local = local_engine.backend().replays();
+        assert!(local.unwrap_or(0) > 0);
+        assert_eq!(fleet_engine.backend().replays(), local);
     }
 }
 
