@@ -1,8 +1,8 @@
-//! Criterion benchmarks for the network-evaluation engine: quantifies
-//! what the ISSUE's tentpole claims — that the parallel, shape-cached
-//! engine beats the sequential hand-rolled per-layer loop on a
-//! full-network simulation — and isolates each mechanism's contribution
-//! (parallelism alone, caching alone, both).
+//! Criterion benchmarks for the network-evaluation engine: the
+//! parallel, shape-cached engine against a hand-rolled sequential
+//! per-layer loop on full-network simulations, plus a parallel loop
+//! straight over the backend that separates the engine's two mechanisms
+//! (multi-core fan-out alone vs fan-out plus shape reuse).
 //!
 //! Every engine iteration constructs a fresh engine, so the cache starts
 //! cold and the comparison is honest: the win measured here is
@@ -10,20 +10,18 @@
 //! residue from a previous iteration.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use delta_model::engine::{Engine, EngineOptions};
-use delta_model::query::{Parallelism, StepQuery};
+use delta_model::backend::Backend;
+use delta_model::engine::Engine;
+use delta_model::query::{EvalQuery, Parallelism, StepQuery};
 use delta_model::{Delta, GpuSpec};
 use delta_sim::{SimConfig, Simulator};
+use rayon::prelude::*;
 use std::hint::black_box;
 
 /// ResNet152's unique-layer subset at a reduced batch: the repeated
 /// residual-block shapes are exactly the workload the cache targets.
 fn workload() -> delta_networks::Network {
     delta_networks::resnet152(4).expect("builtin network")
-}
-
-fn engine_options(parallel: bool, cache: bool) -> EngineOptions {
-    EngineOptions { parallel, cache }
 }
 
 fn bench_full_network_sim(c: &mut Criterion) {
@@ -44,29 +42,35 @@ fn bench_full_network_sim(c: &mut Criterion) {
         })
     });
 
-    for (id, parallel, cache) in [
-        ("engine_cached_only", false, true),
-        ("engine_parallel_only", true, false),
-        ("engine_parallel_cached", true, true),
-    ] {
-        group.bench_function(id, |b| {
-            b.iter_batched(
-                || {
-                    Engine::with_options(
-                        Simulator::new(gpu.clone(), config),
-                        engine_options(parallel, cache),
-                    )
-                },
-                |engine| {
-                    engine
-                        .evaluate_network(black_box(net.layers()), &Parallelism::Single)
-                        .expect("simulable network")
-                        .total_seconds()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    // Fan-out alone: every layer's forward query straight to the
+    // backend across cores, repeated shapes replayed again.
+    group.bench_function("parallel_loop", |b| {
+        let sim = Simulator::new(gpu.clone(), config);
+        b.iter(|| {
+            net.layers()
+                .par_iter()
+                .map(|l| {
+                    sim.evaluate(&EvalQuery::forward(black_box(l), Parallelism::Single))
+                        .expect("simulable layer")
+                        .seconds
+                })
+                .collect::<Vec<f64>>()
+                .iter()
+                .sum::<f64>()
+        })
+    });
+    group.bench_function("engine_parallel_cached", |b| {
+        b.iter_batched(
+            || Engine::new(Simulator::new(gpu.clone(), config)),
+            |engine| {
+                engine
+                    .evaluate_network(black_box(net.layers()), &Parallelism::Single)
+                    .expect("simulable network")
+                    .total_seconds()
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 
@@ -93,12 +97,7 @@ fn bench_whole_resnet_sim(c: &mut Criterion) {
     });
     group.bench_function("engine_parallel_cached", |b| {
         b.iter_batched(
-            || {
-                Engine::with_options(
-                    Simulator::new(gpu.clone(), config),
-                    engine_options(true, true),
-                )
-            },
+            || Engine::new(Simulator::new(gpu.clone(), config)),
             |engine| {
                 engine
                     .evaluate_network(black_box(net.layers()), &Parallelism::Single)

@@ -33,7 +33,7 @@
 
 use delta_bench::experiments::shard_scaling;
 use delta_bench::stats::Distribution;
-use delta_model::engine::{Engine, EngineOptions};
+use delta_model::engine::Engine;
 use delta_model::query::{EvalQuery, Parallelism, StepQuery};
 use delta_model::GpuSpec;
 use delta_sim::{InterconnectKind, SimConfig, Simulator};
@@ -116,17 +116,12 @@ fn measure(reps: u32) -> GateReport {
     // columns), so 4 workers all get real work. Driven through
     // `Engine::evaluate` with a `Sharded` query so the gate times the
     // production seam (Engine → Backend → run_sharded), not a shortcut;
-    // the cache is disabled so every timed rep re-runs the replay.
+    // each timed call builds a fresh engine, so its cache is empty and
+    // every rep re-runs the replay.
     let layer = shard_scaling::widest_layer(16).expect("valid layer");
-    let engine = Engine::with_options(
-        Simulator::new(gpu.clone(), config),
-        EngineOptions {
-            parallel: true,
-            cache: false,
-        },
-    );
     let sharded = |workers: u32| {
         let query = EvalQuery::forward(&layer, Parallelism::Sharded { workers });
+        let engine = Engine::new(sim.clone());
         engine.evaluate(&query).expect("simulable layer").cycles
     };
     let t1 = best_of(reps, || sharded(1));

@@ -23,12 +23,10 @@
 
 use crate::error::Error;
 use crate::gpu::GpuSpec;
-use crate::layer::ConvLayer;
 use crate::model::Delta;
 use crate::perf::Bottleneck;
 use crate::query::{EvalQuery, Pass, StepEvaluation, StepQuery};
 use crate::report::LayerReport;
-use crate::schedule::{SpanKind, StepTimeline};
 use crate::training;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -110,8 +108,7 @@ impl LayerEstimate {
     }
 
     /// Builds the estimate equivalent of a model [`LayerReport`].
-    pub fn from_report(report: &LayerReport, gpu: &GpuSpec) -> LayerEstimate {
-        let _ = gpu; // reserved: future device-dependent derived fields
+    pub fn from_report(report: &LayerReport) -> LayerEstimate {
         LayerEstimate {
             l1_bytes: report.traffic.l1_bytes,
             l2_bytes: report.traffic.l2_bytes,
@@ -218,28 +215,6 @@ impl fmt::Display for BackendFingerprint {
     }
 }
 
-/// Builds the serial compute-span list of a training step from its
-/// per-layer pass estimates: forward spans in network order, then
-/// dgrad/wgrad pairs in reverse layer order (the first layer skips
-/// dgrad). Shared by the default [`Backend::evaluate_step`] and any
-/// backend that derives a serial timeline from a finished table.
-pub fn serial_step_spans(
-    layers: &[ConvLayer],
-    rows: &[crate::engine::TrainingRow],
-) -> Vec<(String, SpanKind, f64)> {
-    let mut spans = Vec::with_capacity(3 * layers.len());
-    for (l, r) in layers.iter().zip(rows) {
-        spans.push((l.label().to_string(), SpanKind::Forward, r.forward.seconds));
-    }
-    for (l, r) in layers.iter().zip(rows).rev() {
-        if let Some(d) = &r.dgrad {
-            spans.push((l.label().to_string(), SpanKind::Dgrad, d.seconds));
-        }
-        spans.push((l.label().to_string(), SpanKind::Wgrad, r.wgrad.seconds));
-    }
-    spans
-}
-
 /// A query-answering estimator bound to one GPU description: the common
 /// interface of the analytical model and the trace-driven simulator.
 ///
@@ -292,52 +267,37 @@ pub trait Backend: Send + Sync {
     fn evaluate(&self, query: &EvalQuery) -> Result<LayerEstimate, Error>;
 
     /// Answers one whole-training-step request: the per-layer
-    /// forward/dgrad/wgrad table *and* the scheduled [`StepTimeline`],
-    /// both derived from one evaluation pass over the step's unique
-    /// layer shapes.
+    /// forward/dgrad/wgrad table *and* the scheduled
+    /// [`StepTimeline`](crate::schedule::StepTimeline), both derived
+    /// from one evaluation pass over the step's unique layer shapes.
     ///
-    /// The default assembles the table from per-pass
-    /// [`Backend::evaluate`] calls and a **serial** timeline (every pass
-    /// back-to-back, no communication stream, `step == serial`) — what a
-    /// backend without a collective scheduler can say. The trace-driven
-    /// simulator overrides it with the bucketed-all-reduce schedule;
-    /// every override must keep [`StepTimeline::bounds_hold`] true and
-    /// must derive table and timeline from the *same* measurements.
+    /// The default evaluates [`StepQuery::pass_queries`] in order, one
+    /// [`Backend::evaluate`] call each, and assembles the answer with
+    /// [`StepEvaluation::serial`]: the table plus a **serial** timeline
+    /// (every pass back-to-back, no communication stream,
+    /// `step == serial`) — what a backend without a collective
+    /// scheduler can say. The trace-driven simulator overrides it to
+    /// replay each unique pass shape once and, under `Multi`, to
+    /// schedule the bucketed all-reduce; every override must keep
+    /// [`StepTimeline::bounds_hold`](crate::schedule::StepTimeline::bounds_hold)
+    /// true and must derive table and timeline from the *same*
+    /// measurements.
     ///
     /// # Errors
     ///
     /// Propagates pass-construction and estimation failures.
     fn evaluate_step(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {
-        let mut rows = Vec::with_capacity(query.layers.len());
-        for (i, l) in query.layers.iter().enumerate() {
-            let forward = self.evaluate(&query.pass_query(l, Pass::Fwd))?;
-            let dgrad = if i == 0 {
-                None
-            } else {
-                Some(self.evaluate(&query.pass_query(l, Pass::Dgrad))?)
-            };
-            let wgrad = self.evaluate(&query.pass_query(l, Pass::Wgrad))?;
-            rows.push(crate::engine::TrainingRow {
-                label: l.label().to_string(),
-                forward,
-                dgrad,
-                wgrad,
-            });
-        }
-        let timeline = StepTimeline::serial_compute(
+        let estimates = query
+            .pass_queries()
+            .iter()
+            .map(|q| self.evaluate(q))
+            .collect::<Result<_, _>>()?;
+        Ok(StepEvaluation::serial(
             self.name(),
             self.gpu().name(),
-            query.parallelism.device_count(),
-            serial_step_spans(&query.layers, &rows),
-        );
-        Ok(StepEvaluation {
-            table: crate::engine::TrainingStepEvaluation {
-                backend: self.name().to_string(),
-                gpu: self.gpu().name().to_string(),
-                rows,
-            },
-            timeline,
-        })
+            query,
+            estimates,
+        ))
     }
 }
 
@@ -366,7 +326,7 @@ impl Backend for Delta {
             Pass::Dgrad => self.analyze(&training::dgrad_layer(&layer)?)?,
             Pass::Wgrad => training::analyze_wgrad(self, &layer)?,
         };
-        Ok(LayerEstimate::from_report(&report, Delta::gpu(self)))
+        Ok(LayerEstimate::from_report(&report))
     }
 }
 
@@ -395,6 +355,7 @@ impl<B: Backend + ?Sized> Backend for &B {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::ConvLayer;
     use crate::query::Parallelism;
 
     fn layer() -> ConvLayer {

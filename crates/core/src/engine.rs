@@ -44,11 +44,12 @@ use crate::backend::{Backend, BackendFingerprint, FingerprintMismatch, LayerEsti
 use crate::error::Error;
 use crate::layer::ConvLayer;
 use crate::perf::Bottleneck;
-use crate::query::{EvalQuery, Parallelism, Pass, StepEvaluation, StepQuery};
+use crate::query::{EvalQuery, Parallelism, StepEvaluation, StepQuery};
 use crate::scaling::DesignOption;
 use delta_obs::{span, Counter};
 use rayon::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::File;
@@ -128,26 +129,6 @@ fn read_entries<T: Deserialize>(
     Ok(entries)
 }
 
-/// Engine tuning knobs; the defaults (parallel, cached) are what every
-/// production caller wants. The ablation switches exist for benchmarks
-/// that quantify each mechanism's contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Evaluate independent queries on multiple cores.
-    pub parallel: bool,
-    /// Reuse results across repeated queries.
-    pub cache: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            parallel: true,
-            cache: true,
-        }
-    }
-}
-
 /// Cache-effectiveness counters (cumulative over the engine's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -195,23 +176,16 @@ pub struct CacheCounters {
 #[derive(Debug)]
 pub struct Engine<B: Backend> {
     backend: B,
-    options: EngineOptions,
     cache: Mutex<HashMap<String, CacheSlot>>,
     step_cache: Mutex<HashMap<String, StepEvaluation>>,
     counters: CacheCounters,
 }
 
 impl<B: Backend> Engine<B> {
-    /// Creates an engine with the default options (parallel + cached).
+    /// Creates an engine over `backend` with empty caches.
     pub fn new(backend: B) -> Engine<B> {
-        Engine::with_options(backend, EngineOptions::default())
-    }
-
-    /// Creates an engine with explicit options.
-    pub fn with_options(backend: B, options: EngineOptions) -> Engine<B> {
         Engine {
             backend,
-            options,
             cache: Mutex::new(HashMap::new()),
             step_cache: Mutex::new(HashMap::new()),
             counters: CacheCounters {
@@ -226,11 +200,6 @@ impl<B: Backend> Engine<B> {
     /// The wrapped backend.
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// The active options.
-    pub fn options(&self) -> EngineOptions {
-        self.options
     }
 
     /// Cumulative cache counters.
@@ -581,15 +550,16 @@ impl<B: Backend> Engine<B> {
     /// repeated `evaluate_step` — same process or warmed through
     /// [`Engine::load_cache`] — skips evaluation entirely.
     ///
-    /// On a miss, under `Single`/`Sharded` parallelism the step is
-    /// assembled from per-pass queries through the per-layer cache
+    /// On a miss, under `Single`/`Sharded` parallelism the step's
+    /// [`StepQuery::pass_queries`] go through the per-layer cache
     /// (parallel fan-out, repeats and previously-loaded results served
-    /// without replay) and the serial timeline is derived from the
-    /// cached estimates — bitwise what [`Backend::evaluate_step`] would
-    /// answer. Under `Multi` the backend runs (its overlapped timeline
-    /// needs per-device measurement detail that cached estimates do not
-    /// carry), and the engine folds the step's per-pass estimates into
-    /// its per-layer cache so later pass queries hit too. Counters:
+    /// without replay) and [`StepEvaluation::serial`] assembles the
+    /// answer from the estimates — bitwise what
+    /// [`Backend::evaluate_step`] answers. Under `Multi` the backend
+    /// runs (its overlapped timeline needs per-device measurement detail
+    /// that cached estimates do not carry), and the engine folds the
+    /// step's per-pass estimates into its per-layer cache so later pass
+    /// queries hit too. Counters:
     /// each unique pass query counts as one miss, each repeat (or
     /// cache-served query) as one hit; whole-step lookups count under
     /// [`CacheStats::step_hits`]/[`CacheStats::step_misses`].
@@ -599,10 +569,6 @@ impl<B: Backend> Engine<B> {
     /// Propagates pass-construction and estimation failures.
     pub fn evaluate_step(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {
         let _span = span!("engine.evaluate_step", layers = query.layers.len());
-        if !self.options.cache {
-            self.counters.step_misses.inc();
-            return self.evaluate_step_fresh(query);
-        }
         let key = {
             let _lookup = span!("engine.step_cache_lookup");
             query.fingerprint()
@@ -627,52 +593,44 @@ impl<B: Backend> Engine<B> {
         Ok(result)
     }
 
-    /// The step-cache miss path: evaluate the step from scratch (per
-    /// the parallelism split documented on [`Engine::evaluate_step`]).
+    /// The step-cache miss path (see [`Engine::evaluate_step`]): under
+    /// `Single`/`Sharded` the step's pass queries go through
+    /// [`Engine::evaluate_queries`] and [`StepEvaluation::serial`]
+    /// assembles the answer; under `Multi` the backend answers and its
+    /// pass estimates are folded into the per-layer cache.
     fn evaluate_step_fresh(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {
+        let pass_queries = query.pass_queries();
         if !matches!(query.parallelism, Parallelism::Multi { .. }) {
-            return self.step_from_queries(query);
+            let estimates = self.evaluate_queries(&pass_queries)?;
+            let _span = span!("engine.step_schedule", layers = query.layers.len());
+            return Ok(StepEvaluation::serial(
+                self.backend.name(),
+                self.backend.gpu().name(),
+                query,
+                estimates,
+            ));
         }
         let result = self.backend.evaluate_step(query)?;
-        let mut fresh = 0u64;
-        let mut seen = 0u64;
-        if self.options.cache {
+        // Rows hold their passes in `pass_queries` order: forward, dgrad
+        // (absent on the first row), wgrad.
+        let estimates = result
+            .table
+            .rows
+            .iter()
+            .flat_map(|r| [Some(&r.forward), r.dgrad.as_ref(), Some(&r.wgrad)])
+            .flatten();
+        let (mut fresh, mut seen) = (0u64, 0u64);
+        {
             let mut cache = self.cache.lock().expect("engine cache poisoned");
-            let mut insert =
-                |q: EvalQuery, estimate: &LayerEstimate| match cache.entry(q.fingerprint()) {
-                    std::collections::hash_map::Entry::Occupied(_) => seen += 1,
-                    std::collections::hash_map::Entry::Vacant(slot) => {
+            for (q, estimate) in pass_queries.into_iter().zip(estimates) {
+                match cache.entry(q.fingerprint()) {
+                    Entry::Occupied(_) => seen += 1,
+                    Entry::Vacant(slot) => {
                         slot.insert(CacheSlot {
                             query: q,
                             estimate: estimate.clone(),
                         });
                         fresh += 1;
-                    }
-                };
-            for (l, row) in query.layers.iter().zip(&result.table.rows) {
-                insert(query.pass_query(l, Pass::Fwd), &row.forward);
-                if let Some(d) = &row.dgrad {
-                    insert(query.pass_query(l, Pass::Dgrad), d);
-                }
-                insert(query.pass_query(l, Pass::Wgrad), &row.wgrad);
-            }
-        } else {
-            // No cache to fold into, but the counter contract is the
-            // same: unique pass queries are misses, repeats are hits.
-            let mut unique = HashSet::new();
-            for (i, l) in query.layers.iter().enumerate() {
-                for pass in [
-                    Some(Pass::Fwd),
-                    (i > 0).then_some(Pass::Dgrad),
-                    Some(Pass::Wgrad),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    if unique.insert(query.pass_query(l, pass).fingerprint()) {
-                        fresh += 1;
-                    } else {
-                        seen += 1;
                     }
                 }
             }
@@ -682,60 +640,10 @@ impl<B: Backend> Engine<B> {
         Ok(result)
     }
 
-    /// The cache-served step path for `Single`/`Sharded` parallelism:
-    /// every pass goes through [`Engine::evaluate_queries`] (dedup,
-    /// parallel fan-out, persistent-cache reuse) and the serial timeline
-    /// is derived from the resulting rows.
-    fn step_from_queries(&self, query: &StepQuery) -> Result<StepEvaluation, Error> {
-        let mut pass_queries = Vec::with_capacity(3 * query.layers.len());
-        for (i, l) in query.layers.iter().enumerate() {
-            pass_queries.push(query.pass_query(l, Pass::Fwd));
-            if i > 0 {
-                pass_queries.push(query.pass_query(l, Pass::Dgrad));
-            }
-            pass_queries.push(query.pass_query(l, Pass::Wgrad));
-        }
-        let mut estimates = self.evaluate_queries(&pass_queries)?.into_iter();
-        let rows: Vec<TrainingRow> = query
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| TrainingRow {
-                label: l.label().to_string(),
-                forward: estimates.next().expect("one estimate per query"),
-                dgrad: (i > 0).then(|| estimates.next().expect("one estimate per query")),
-                wgrad: estimates.next().expect("one estimate per query"),
-            })
-            .collect();
-        let timeline = {
-            let _span = span!("engine.step_schedule", layers = query.layers.len());
-            crate::schedule::StepTimeline::serial_compute(
-                self.backend.name(),
-                self.backend.gpu().name(),
-                query.parallelism.device_count(),
-                crate::backend::serial_step_spans(&query.layers, &rows),
-            )
-        };
-        Ok(StepEvaluation {
-            table: TrainingStepEvaluation {
-                backend: self.backend.name().to_string(),
-                gpu: self.backend.gpu().name().to_string(),
-                rows,
-            },
-            timeline,
-        })
-    }
-
     /// The shared batched path: dedup against the cache, evaluate what is
-    /// missing (in parallel when enabled), then assemble in input order.
+    /// missing (in parallel), then assemble in input order.
     fn evaluate_queries(&self, queries: &[EvalQuery]) -> Result<Vec<LayerEstimate>, Error> {
         let _span = span!("engine.evaluate", queries = queries.len());
-        if !self.options.cache {
-            self.counters.misses.add(queries.len() as u64);
-            let results = self.run_backend(&queries.iter().collect::<Vec<_>>());
-            return results.into_iter().collect();
-        }
-
         let keys: Vec<String> = queries.iter().map(EvalQuery::fingerprint).collect();
         let mut missing: Vec<(&str, &EvalQuery)> = Vec::new();
         {
@@ -778,11 +686,11 @@ impl<B: Backend> Engine<B> {
             .collect())
     }
 
-    /// Runs the backend over `queries`, in parallel when enabled and
-    /// worthwhile.
+    /// Runs the backend over `queries`, in parallel when there is more
+    /// than one.
     fn run_backend(&self, queries: &[&EvalQuery]) -> Vec<Result<LayerEstimate, Error>> {
         let _span = span!("engine.cache_miss_backend", queries = queries.len());
-        if self.options.parallel && queries.len() > 1 {
+        if queries.len() > 1 {
             queries
                 .par_iter()
                 .map(|q| self.backend.evaluate(q))
@@ -800,9 +708,8 @@ impl<B: Backend> Engine<B> {
 /// produce, and the labels are a pure function of the query. Row `i`
 /// takes layer `i`'s label; in the compute stream the `k`-th forward
 /// span is layer `k` and the `j`-th dgrad/wgrad span is layer `L−1−j`
-/// (the serial-order convention shared by
-/// [`crate::backend::serial_step_spans`] and the collective
-/// scheduler); all-reduce spans are re-bucketized from this query's
+/// (the serial-order convention shared by [`StepEvaluation::serial`]
+/// and the collective scheduler); all-reduce spans are re-bucketized from this query's
 /// gradient payloads in ready (reverse-layer) order and labeled via
 /// [`crate::schedule::bucket_label`].
 fn relabel_step(mut eval: StepEvaluation, query: &StepQuery) -> StepEvaluation {
@@ -1044,6 +951,7 @@ where
 mod tests {
     use super::*;
     use crate::interconnect::InterconnectKind;
+    use crate::query::Pass;
     use crate::{Delta, GpuSpec};
 
     fn conv(label: &str, ci: u32, hw: u32, co: u32) -> ConvLayer {
@@ -1111,43 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_agree() {
-        let net = repeated_net();
-        let par = Engine::new(Delta::new(GpuSpec::titan_xp()));
-        let seq = Engine::with_options(
-            Delta::new(GpuSpec::titan_xp()),
-            EngineOptions {
-                parallel: false,
-                cache: false,
-            },
-        );
-        assert_eq!(
-            par.evaluate_network(&net, &Parallelism::Single)
-                .unwrap()
-                .rows,
-            seq.evaluate_network(&net, &Parallelism::Single)
-                .unwrap()
-                .rows
-        );
-    }
-
-    #[test]
-    fn uncached_engine_counts_every_evaluation() {
-        let engine = Engine::with_options(
-            Delta::new(GpuSpec::titan_xp()),
-            EngineOptions {
-                parallel: true,
-                cache: false,
-            },
-        );
-        engine
-            .evaluate_network(&repeated_net(), &Parallelism::Single)
-            .unwrap();
-        assert_eq!(engine.cache_stats().misses, 4);
-        assert_eq!(engine.cache_stats().hits, 0);
-    }
-
-    #[test]
     fn step_table_matches_training_module() {
         let delta = Delta::new(GpuSpec::titan_xp());
         let engine = Engine::new(delta.clone());
@@ -1158,9 +1029,13 @@ mod tests {
         let table = &eval.table;
         assert!(table.rows[0].dgrad.is_none(), "first layer skips dgrad");
         assert!(table.rows[1].dgrad.is_some());
-        let reference = crate::training::training_step(&delta, &net).unwrap();
-        let ref_total: f64 = reference.iter().map(|t| t.seconds()).sum();
-        assert!((table.total_seconds() - ref_total).abs() < 1e-12 * ref_total.abs());
+        // The reference: each pass asked of the model directly.
+        for (i, (row, l)) in table.rows.iter().zip(&net).enumerate() {
+            let pass = |pass| delta.evaluate(&EvalQuery::new(l, pass, Parallelism::Single));
+            assert_eq!(row.forward, pass(Pass::Fwd).unwrap());
+            assert_eq!(row.dgrad, (i > 0).then(|| pass(Pass::Dgrad).unwrap()));
+            assert_eq!(row.wgrad, pass(Pass::Wgrad).unwrap());
+        }
         assert!(table.backward_seconds() > table.forward_seconds() * 0.5);
         // The bundled timeline is the serial fallback derived from the
         // same estimates.
@@ -1429,24 +1304,6 @@ mod tests {
         loaded.clear_cache();
         loaded.evaluate_step(&step).unwrap();
         assert_eq!(loaded.cache_stats().step_misses, 1);
-    }
-
-    #[test]
-    fn uncached_engines_skip_the_step_cache() {
-        let engine = Engine::with_options(
-            Delta::new(GpuSpec::titan_xp()),
-            EngineOptions {
-                parallel: false,
-                cache: false,
-            },
-        );
-        let net = vec![conv("a", 3, 28, 16), conv("b", 16, 28, 32)];
-        let step = StepQuery::new(&net, Parallelism::Single);
-        let first = engine.evaluate_step(&step).unwrap();
-        let second = engine.evaluate_step(&step).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(engine.cache_stats().step_misses, 2, "every call evaluates");
-        assert_eq!(engine.cache_stats().step_hits, 0);
     }
 
     #[test]

@@ -97,7 +97,6 @@ pub use schedule::StepTimeline;
 pub use tiling::CtaTile;
 pub use topology::{Topology, TopologyKind};
 pub use traffic::TrafficEstimate;
-pub use training::TrainingEstimate;
 
 /// Bytes per FP32 element (the paper models 32-bit floating-point training,
 /// §IV).

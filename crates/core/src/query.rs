@@ -29,12 +29,13 @@
 //! keyed on it, so stale-configuration refusal falls out of key
 //! inequality instead of bespoke guard fields.
 
-use crate::engine::TrainingStepEvaluation;
+use crate::backend::LayerEstimate;
+use crate::engine::{TrainingRow, TrainingStepEvaluation};
 use crate::error::Error;
 use crate::gpu::GpuSpec;
 use crate::interconnect::InterconnectKind;
 use crate::layer::{ConvLayer, LayerKind};
-use crate::schedule::StepTimeline;
+use crate::schedule::{SpanKind, StepTimeline};
 use crate::topology::TopologyKind;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
@@ -434,6 +435,23 @@ impl StepQuery {
         EvalQuery::new(layer, pass, self.parallelism.clone())
     }
 
+    /// The step's pass queries in canonical order: per layer, in network
+    /// order, forward, data gradient (except for the first layer, which
+    /// needs no input gradient) and weight gradient. Every step
+    /// assembler reads its estimates in this order
+    /// ([`StepEvaluation::serial`]).
+    pub fn pass_queries(&self) -> Vec<EvalQuery> {
+        let mut queries = Vec::with_capacity(3 * self.layers.len());
+        for (i, l) in self.layers.iter().enumerate() {
+            queries.push(self.pass_query(l, Pass::Fwd));
+            if i > 0 {
+                queries.push(self.pass_query(l, Pass::Dgrad));
+            }
+            queries.push(self.pass_query(l, Pass::Wgrad));
+        }
+        queries
+    }
+
     /// A canonical, injective encoding of the step configuration
     /// (ordered layer shapes, parallelism, bucket size, overlap flag) —
     /// the step-level analog of [`EvalQuery::fingerprint`]. Labels are
@@ -471,6 +489,70 @@ pub struct StepEvaluation {
     /// parallelism this is the serial compute timeline (no
     /// communication stream).
     pub timeline: StepTimeline,
+}
+
+impl StepEvaluation {
+    /// The serial step of `backend` on `gpu`: what a backend without a
+    /// collective scheduler answers. `estimates` are the step's pass
+    /// estimates in [`StepQuery::pass_queries`] order; they become the
+    /// per-layer rows, and the timeline runs every pass back-to-back
+    /// with no communication stream (`step == serial`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `estimates` holds fewer entries than the step has pass
+    /// queries.
+    pub fn serial(
+        backend: &str,
+        gpu: &str,
+        query: &StepQuery,
+        estimates: Vec<LayerEstimate>,
+    ) -> StepEvaluation {
+        let mut estimates = estimates.into_iter();
+        let mut next = || estimates.next().expect("one estimate per pass query");
+        let mut rows = Vec::with_capacity(query.layers.len());
+        for (i, l) in query.layers.iter().enumerate() {
+            let forward = next();
+            let dgrad = (i > 0).then(&mut next);
+            rows.push(TrainingRow {
+                label: l.label().to_string(),
+                forward,
+                dgrad,
+                wgrad: next(),
+            });
+        }
+        let timeline = StepTimeline::serial_compute(
+            backend,
+            gpu,
+            query.parallelism.device_count(),
+            serial_spans(&rows),
+        );
+        StepEvaluation {
+            table: TrainingStepEvaluation {
+                backend: backend.to_string(),
+                gpu: gpu.to_string(),
+                rows,
+            },
+            timeline,
+        }
+    }
+}
+
+/// The serial compute spans of a step's rows: forward spans in network
+/// order, then dgrad/wgrad pairs in reverse layer order (the first layer
+/// has no dgrad).
+fn serial_spans(rows: &[TrainingRow]) -> Vec<(String, SpanKind, f64)> {
+    let mut spans = Vec::with_capacity(3 * rows.len());
+    for r in rows {
+        spans.push((r.label.clone(), SpanKind::Forward, r.forward.seconds));
+    }
+    for r in rows.iter().rev() {
+        if let Some(d) = &r.dgrad {
+            spans.push((r.label.clone(), SpanKind::Dgrad, d.seconds));
+        }
+        spans.push((r.label.clone(), SpanKind::Wgrad, r.wgrad.seconds));
+    }
+    spans
 }
 
 #[cfg(test)]

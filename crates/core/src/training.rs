@@ -29,8 +29,6 @@ use crate::perf;
 use crate::report::LayerReport;
 use crate::tiling::{CtaTile, LayerTiling};
 use crate::traffic;
-use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Builds the dgrad pass of `layer` as an equivalent forward convolution.
 ///
@@ -129,108 +127,12 @@ pub fn analyze_wgrad(delta: &Delta, layer: &ConvLayer) -> Result<LayerReport, Er
     Ok(LayerReport::new(wl, gpu.name(), tiling, t, p))
 }
 
-/// The three GEMMs of one layer's training step, analyzed on one GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrainingEstimate {
-    /// The forward pass.
-    pub forward: LayerReport,
-    /// The data-gradient pass; `None` when skipped (the first layer of a
-    /// network needs no input gradient).
-    pub dgrad: Option<LayerReport>,
-    /// The weight-gradient pass.
-    pub wgrad: LayerReport,
-}
-
-impl TrainingEstimate {
-    /// Analyzes all passes of `layer` under `delta`.
-    ///
-    /// `first_layer` skips dgrad (no upstream gradient is needed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates pass-construction and analysis failures.
-    pub fn of(delta: &Delta, layer: &ConvLayer, first_layer: bool) -> Result<Self, Error> {
-        let forward = delta.analyze(layer)?;
-        let dgrad = if first_layer {
-            None
-        } else {
-            Some(delta.analyze(&dgrad_layer(layer)?)?)
-        };
-        let wgrad = analyze_wgrad(delta, layer)?;
-        Ok(TrainingEstimate {
-            forward,
-            dgrad,
-            wgrad,
-        })
-    }
-
-    /// Total predicted time of the step in seconds.
-    pub fn seconds(&self) -> f64 {
-        self.forward.perf.seconds
-            + self.dgrad.as_ref().map_or(0.0, |d| d.perf.seconds)
-            + self.wgrad.perf.seconds
-    }
-
-    /// Total predicted DRAM read traffic of the step in bytes.
-    pub fn dram_bytes(&self) -> f64 {
-        self.forward.traffic.dram_bytes
-            + self.dgrad.as_ref().map_or(0.0, |d| d.traffic.dram_bytes)
-            + self.wgrad.traffic.dram_bytes
-    }
-
-    /// Ratio of backward (dgrad + wgrad) to forward time.
-    pub fn backward_to_forward(&self) -> f64 {
-        (self.seconds() - self.forward.perf.seconds) / self.forward.perf.seconds
-    }
-}
-
-impl fmt::Display for TrainingEstimate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: fwd {:.3} ms",
-            self.forward.layer.label(),
-            self.forward.perf.millis()
-        )?;
-        if let Some(d) = &self.dgrad {
-            write!(
-                f,
-                ", dgrad {:.3} ms ({})",
-                d.perf.millis(),
-                d.perf.bottleneck
-            )?;
-        }
-        write!(
-            f,
-            ", wgrad {:.3} ms ({}) -> {:.3} ms/step",
-            self.wgrad.perf.millis(),
-            self.wgrad.perf.bottleneck,
-            self.seconds() * 1e3
-        )
-    }
-}
-
-/// Analyzes a whole network's training iteration; the first layer skips
-/// dgrad.
-///
-/// # Errors
-///
-/// Propagates per-layer failures.
-pub fn training_step<'a, I>(delta: &Delta, layers: I) -> Result<Vec<TrainingEstimate>, Error>
-where
-    I: IntoIterator<Item = &'a ConvLayer>,
-{
-    layers
-        .into_iter()
-        .enumerate()
-        .map(|(i, l)| TrainingEstimate::of(delta, l, i == 0))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::gpu::GpuSpec;
+    use crate::query::{EvalQuery, Parallelism, Pass, StepQuery};
 
     fn conv(ci: u32, hw: u32, co: u32, f: u32, s: u32, p: u32) -> ConvLayer {
         ConvLayer::builder("t")
@@ -348,10 +250,11 @@ mod tests {
     fn training_step_skips_first_layer_dgrad() {
         let delta = Delta::new(GpuSpec::titan_xp());
         let layers = [conv(3, 32, 16, 3, 1, 1), conv(16, 32, 32, 3, 1, 1)];
-        let steps = training_step(&delta, layers.iter()).unwrap();
-        assert!(steps[0].dgrad.is_none());
-        assert!(steps[1].dgrad.is_some());
-        assert!(steps[1].seconds() > steps[1].forward.perf.seconds);
+        let step = StepQuery::new(&layers, Parallelism::Single);
+        let rows = Backend::evaluate_step(&delta, &step).unwrap().table.rows;
+        assert!(rows[0].dgrad.is_none());
+        assert!(rows[1].dgrad.is_some());
+        assert!(rows[1].seconds() > rows[1].forward.seconds);
     }
 
     #[test]
@@ -364,30 +267,20 @@ mod tests {
         // multiple.
         let delta = Delta::new(GpuSpec::titan_xp());
         let l = conv(128, 28, 128, 3, 1, 1);
-        let t = TrainingEstimate::of(&delta, &l, false).unwrap();
-        let r = t.backward_to_forward();
+        let seconds = |pass| {
+            delta
+                .evaluate(&EvalQuery::new(&l, pass, Parallelism::Single))
+                .unwrap()
+                .seconds
+        };
+        let (f, d, w) = (
+            seconds(Pass::Fwd),
+            seconds(Pass::Dgrad),
+            seconds(Pass::Wgrad),
+        );
+        let r = (d + w) / f;
         assert!((1.0..6.0).contains(&r), "backward/forward = {r}");
         // dgrad alone is forward-like and must be within 2x of forward.
-        let d = t.dgrad.as_ref().unwrap().perf.seconds;
-        assert!(d < 2.0 * t.forward.perf.seconds, "dgrad {d}");
-    }
-
-    #[test]
-    fn display_summarizes_all_passes() {
-        let delta = Delta::new(GpuSpec::titan_xp());
-        let l = conv(16, 14, 32, 3, 1, 1);
-        let t = TrainingEstimate::of(&delta, &l, false).unwrap();
-        let s = t.to_string();
-        assert!(s.contains("fwd") && s.contains("dgrad") && s.contains("wgrad"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let delta = Delta::new(GpuSpec::titan_xp());
-        let l = conv(16, 14, 32, 3, 1, 1);
-        let t = TrainingEstimate::of(&delta, &l, true).unwrap();
-        let s = serde_json::to_string(&t).unwrap();
-        let back: TrainingEstimate = serde_json::from_str(&s).unwrap();
-        assert_eq!(t, back);
+        assert!(d < 2.0 * f, "dgrad {d}");
     }
 }

@@ -40,20 +40,16 @@ use crate::sim::{
     all_reduce_on, all_reduce_pricing_of, charge_all_reduce, ColumnReplay, Simulator,
 };
 use crate::topology::Topology;
-use delta_model::backend::{serial_step_spans, LayerEstimate};
+use delta_model::backend::LayerEstimate;
 use delta_model::engine::{LayerShape, TrainingRow, TrainingStepEvaluation};
 use delta_model::query::{EvalQuery, Parallelism, Pass, StepEvaluation, StepQuery};
-use delta_model::schedule::{bucket_label, DeviceTimeline, Span, SpanKind, StepTimeline};
+use delta_model::schedule::{
+    bucket_label, bucketize, DeviceTimeline, Span, SpanKind, StepTimeline,
+};
 use delta_model::{training, ConvLayer, Error};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::ops::Range;
-
-// The bucketizer moved into the core crate (cache v3's step-cache
-// relabeling needs it to rebuild all-reduce span labels on a hit);
-// re-exported here so existing `collective::bucketize` callers keep
-// compiling unchanged.
-pub use delta_model::schedule::{bucketize, GradBucket};
 
 /// One layer's pass durations and gradient payload — the compute-side
 /// input to [`schedule_step`].
@@ -389,9 +385,9 @@ impl Simulator {
     /// query's interconnect/topology, with the topology graph built
     /// once for the whole step. The returned timeline always satisfies
     /// [`StepTimeline::bounds_hold`]. Under `Single`/`Sharded`, the
-    /// rows come from the corresponding on-device replay and the
-    /// timeline is the serial compute schedule (no communication
-    /// stream).
+    /// pass estimates come from the corresponding on-device replay and
+    /// [`StepEvaluation::serial`] assembles the table and the serial
+    /// compute schedule (no communication stream).
     ///
     /// # Errors
     ///
@@ -444,6 +440,27 @@ impl Simulator {
         // below are derived from.
         let runs = self.replay_layers(&unique, &query.parallelism, replays)?;
         let of = |l: &ConvLayer| &runs[index[&LayerShape::of(l)]];
+        let Parallelism::Multi {
+            devices,
+            interconnect,
+            topology,
+        } = &query.parallelism
+        else {
+            // `passes` lists each layer's workloads in
+            // `StepQuery::pass_queries` order.
+            let estimates = passes
+                .iter()
+                .flat_map(|p| [Some(&p.fwd), p.dgrad.as_ref(), Some(&p.wgrad)])
+                .flatten()
+                .map(|l| of(l).estimate.clone())
+                .collect();
+            return Ok(StepEvaluation::serial(
+                "sim",
+                self.gpu().name(),
+                query,
+                estimates,
+            ));
+        };
         let mut rows: Vec<TrainingRow> = passes
             .iter()
             .map(|p| TrainingRow {
@@ -453,46 +470,36 @@ impl Simulator {
                 wgrad: of(&p.wgrad).estimate.clone(),
             })
             .collect();
-        let timeline = if let Parallelism::Multi {
-            devices,
-            interconnect,
-            topology,
-        } = &query.parallelism
-        {
-            let g = (devices.len() as u32).max(1);
-            // The graph is a function of (kind, devices) only: build it
-            // once for the whole step and share it between the per-row
-            // all-reduce charges and the scheduler, instead of
-            // rebuilding per layer or per bucket.
-            let base = interconnect.params();
-            let topo = topology.map(|kind| Topology::build(kind, g));
-            let all_reduce = |payload: f64| all_reduce_on(&base, topo.as_ref(), payload, g);
-            for (row, p) in rows.iter_mut().zip(&passes) {
-                charge_all_reduce(&mut row.wgrad, self.gpu(), all_reduce(p.grad_bytes as f64));
-            }
-            let layer_passes: Vec<LayerPasses> = passes
-                .iter()
-                .map(|p| LayerPasses {
-                    label: p.label.clone(),
-                    forward_seconds: of(&p.fwd).step_seconds,
-                    dgrad_seconds: p.dgrad.as_ref().map(|d| of(d).step_seconds),
-                    wgrad_seconds: of(&p.wgrad).step_seconds,
-                    grad_bytes: p.grad_bytes,
-                })
-                .collect();
-            schedule_step(
-                "sim",
-                self.gpu().name(),
-                g,
-                &layer_passes,
-                u64::from(query.bucket_mb) << 20,
-                query.overlap,
-                |bytes| all_reduce(bytes).1,
-            )
-        } else {
-            let spans = serial_step_spans(&query.layers, &rows);
-            StepTimeline::serial_compute("sim", self.gpu().name(), 1, spans)
-        };
+        let g = (devices.len() as u32).max(1);
+        // The graph is a function of (kind, devices) only: build it once
+        // for the whole step and share it between the per-row all-reduce
+        // charges and the scheduler, instead of rebuilding per layer or
+        // per bucket.
+        let base = interconnect.params();
+        let topo = topology.map(|kind| Topology::build(kind, g));
+        let all_reduce = |payload: f64| all_reduce_on(&base, topo.as_ref(), payload, g);
+        for (row, p) in rows.iter_mut().zip(&passes) {
+            charge_all_reduce(&mut row.wgrad, self.gpu(), all_reduce(p.grad_bytes as f64));
+        }
+        let layer_passes: Vec<LayerPasses> = passes
+            .iter()
+            .map(|p| LayerPasses {
+                label: p.label.clone(),
+                forward_seconds: of(&p.fwd).step_seconds,
+                dgrad_seconds: p.dgrad.as_ref().map(|d| of(d).step_seconds),
+                wgrad_seconds: of(&p.wgrad).step_seconds,
+                grad_bytes: p.grad_bytes,
+            })
+            .collect();
+        let timeline = schedule_step(
+            "sim",
+            self.gpu().name(),
+            g,
+            &layer_passes,
+            u64::from(query.bucket_mb) << 20,
+            query.overlap,
+            |bytes| all_reduce(bytes).1,
+        );
         Ok(StepEvaluation {
             table: TrainingStepEvaluation {
                 backend: "sim".to_string(),

@@ -93,9 +93,7 @@ pub mod trace;
 pub use delta_model::interconnect;
 pub use delta_model::topology;
 
-pub use collective::{
-    bucketize, GradBucket, LayerPasses, LocalReplays, ReplayPart, ReplaySource, ReplayUnit,
-};
+pub use collective::{LayerPasses, LocalReplays, ReplayPart, ReplaySource, ReplayUnit};
 pub use dram::DramChannelModel;
 pub use hierarchy::{HierarchyStats, MemoryHierarchy, MergeableHierarchy};
 pub use interconnect::{Interconnect, InterconnectKind};

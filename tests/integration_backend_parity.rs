@@ -161,3 +161,40 @@ fn both_backends_order_layers_identically_by_cost() {
         "heaviest layers diverge beyond a near-tie: {m:?} vs {s:?}"
     );
 }
+
+#[test]
+fn engine_and_backend_steps_agree_bitwise_under_every_parallelism() {
+    // Each step answer is assembled in two places: the engine (per-pass
+    // queries through its cache under `Single`/`Sharded`, the backend's
+    // own step plus a cache fold under `Multi`) and the backend's
+    // `evaluate_step` (the simulator's one-replay-per-shape assembler,
+    // the model's default serial one). Every pair must agree bitwise.
+    use delta_model::{InterconnectKind, StepQuery};
+    use delta_sim::TopologyKind;
+
+    let gpu = GpuSpec::titan_xp();
+    let net = delta_networks::alexnet(2).unwrap();
+    let sim = Simulator::new(gpu.clone(), SimConfig::default());
+    let delta = Delta::new(gpu.clone());
+    for parallelism in [
+        Parallelism::Single,
+        Parallelism::Sharded { workers: 2 },
+        Parallelism::Multi {
+            devices: vec![gpu.clone(); 2],
+            interconnect: InterconnectKind::NvLink,
+            topology: Some(TopologyKind::Ring),
+        },
+    ] {
+        let query = StepQuery::new(net.layers(), parallelism.clone());
+        assert_eq!(
+            Engine::new(sim.clone()).evaluate_step(&query).unwrap(),
+            sim.evaluate_step(&query).unwrap(),
+            "sim, {parallelism:?}"
+        );
+        assert_eq!(
+            Engine::new(delta.clone()).evaluate_step(&query).unwrap(),
+            Backend::evaluate_step(&delta, &query).unwrap(),
+            "model, {parallelism:?}"
+        );
+    }
+}

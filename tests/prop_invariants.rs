@@ -199,7 +199,7 @@ proptest! {
             0 => 0,
             p => 1u64 << p, // 2 B ..= 1 TiB
         };
-        let buckets = delta_sim::bucketize(&grads, bucket_bytes);
+        let buckets = delta_model::schedule::bucketize(&grads, bucket_bytes);
         // Ordered + disjoint + exhaustive: concatenating the buckets'
         // items re-yields 0..len exactly.
         let flat: Vec<usize> = buckets.iter().flat_map(|bk| bk.items.iter().copied()).collect();
